@@ -149,13 +149,11 @@ fn bench_training_sweep(c: &mut Criterion) {
 }
 
 /// Cold-profile cost (the cache-miss enqueue tail): sampled interpretation
-/// of gesummv at paper scale on the tree-walking reference interpreter vs
-/// the bytecode VM, with and without the per-build compile amortized away
+/// of gesummv at paper scale on the tree-walking reference oracle vs the
+/// bytecode VM, with and without the per-build compile amortized away
 /// (the runtime caches the `CompiledKernel` in `PreparedKernel`, so
 /// `vm_precompiled` is the shape every launch actually pays).
 fn bench_cold_profile(c: &mut Criterion) {
-    let mut reference = Engine::kaveri();
-    reference.reference_interpreter = true;
     let vm_engine = Engine::kaveri();
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 16384, 256);
@@ -163,7 +161,11 @@ fn bench_cold_profile(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("cold_profile_gesummv_16k");
     group.bench_function("tree_walker", |b| {
-        b.iter(|| reference.profile(built.spec(), &mut mem).unwrap().ops_per_item())
+        b.iter(|| {
+            interp_oracle::profile_kernel(&built.kernel, &built.args, &built.nd, &mut mem)
+                .unwrap()
+                .ops_per_item()
+        })
     });
     group.bench_function("vm_compile_included", |b| {
         b.iter(|| vm_engine.profile(built.spec(), &mut mem).unwrap().ops_per_item())

@@ -110,13 +110,14 @@ fn main() {
     );
 
     // 3. Cold-profile cost: sampled interpretation of gesummv at paper
-    // scale on the tree-walking reference interpreter vs the bytecode VM
+    // scale on the tree-walking reference oracle vs the bytecode VM
     // (compile included, and precompiled as the enqueue path pays it).
-    let mut reference = fast.clone();
-    reference.reference_interpreter = true;
     let ck = sim::compile_kernel(&built.kernel).unwrap();
     let profile_tree_s = time_median(9, || {
-        std::hint::black_box(reference.profile(built.spec(), &mut mem).unwrap());
+        std::hint::black_box(
+            interp_oracle::profile_kernel(&built.kernel, &built.args, &built.nd, &mut mem)
+                .unwrap(),
+        );
     });
     let profile_vm_s = time_median(9, || {
         std::hint::black_box(fast.profile(built.spec(), &mut mem).unwrap());

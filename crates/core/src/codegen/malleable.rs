@@ -372,11 +372,17 @@ fn collect_identifiers(kernel: &Kernel) -> Vec<String> {
 mod tests {
     use super::*;
     use clc::printer::print_kernel;
-    use sim::interp::{run_kernel, ExecOptions, NullTracer};
+    use sim::interp::{compile_kernel, run_kernel, Mode, NullTracer};
     use sim::{ArgValue, Memory, NdRange};
 
     fn compile1(src: &str) -> Kernel {
         clc::compile(src).unwrap().kernels.remove(0)
+    }
+
+    /// Run `k` over the whole NDRange on the VM.
+    fn run_full(k: &Kernel, args: &[ArgValue], nd: &NdRange, mem: &mut Memory) {
+        let ck = compile_kernel(k).unwrap();
+        run_kernel(&ck, args, nd, mem, Mode::Full, &mut NullTracer).unwrap();
     }
 
     /// Compile the transformed kernel's printed source to prove the
@@ -445,21 +451,18 @@ mod tests {
         let expected = {
             let mut mem = Memory::new();
             let a = mem.alloc_f32((0..256).map(|i| i as f32).collect());
-            run_kernel(
+            run_full(
                 &original,
                 &[ArgValue::Buffer(a), ArgValue::Float(3.0), ArgValue::Int(256)],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
-            )
-            .unwrap();
+            );
             mem.read_f32(a).to_vec()
         };
         for (dop_mod, dop_alloc) in [(8, 1), (8, 3), (8, 8), (4, 2), (64, 1)] {
             let mut mem = Memory::new();
             let a = mem.alloc_f32((0..256).map(|i| i as f32).collect());
-            run_kernel(
+            run_full(
                 &malleable,
                 &[
                     ArgValue::Buffer(a),
@@ -470,10 +473,7 @@ mod tests {
                 ],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
-            )
-            .unwrap();
+            );
             assert_eq!(
                 mem.read_f32(a),
                 &expected[..],
@@ -498,21 +498,18 @@ mod tests {
         let expected = {
             let mut mem = Memory::new();
             let a = mem.alloc_f32(vec![0.0; 32 * 16]);
-            run_kernel(
+            run_full(
                 &original,
                 &[ArgValue::Buffer(a), ArgValue::Int(32), ArgValue::Int(16)],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
-            )
-            .unwrap();
+            );
             mem.read_f32(a).to_vec()
         };
         for (dop_mod, dop_alloc) in [(8, 1), (8, 5), (8, 8)] {
             let mut mem = Memory::new();
             let a = mem.alloc_f32(vec![0.0; 32 * 16]);
-            run_kernel(
+            run_full(
                 &malleable,
                 &[
                     ArgValue::Buffer(a),
@@ -523,10 +520,7 @@ mod tests {
                 ],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
-            )
-            .unwrap();
+            );
             assert_eq!(mem.read_f32(a), &expected[..], "mod={} alloc={}", dop_mod, dop_alloc);
         }
     }
@@ -566,8 +560,7 @@ mod tests {
                 ArgValue::Int(n as i64),
             ];
             args.extend_from_slice(extra);
-            run_kernel(k, &args, &nd, &mut mem, &ExecOptions::default(), &mut NullTracer)
-                .unwrap();
+            run_full(k, &args, &nd, &mut mem);
             mem.read_f32(c).to_vec()
         };
         let expected = run_with(&original, &[]);
@@ -590,8 +583,7 @@ mod tests {
             let mut args =
                 vec![ArgValue::Buffer(a), ArgValue::Float(2.0), ArgValue::Int(128)];
             args.extend_from_slice(extra);
-            run_kernel(k, &args, &nd, &mut mem, &ExecOptions::default(), &mut NullTracer)
-                .unwrap();
+            run_full(k, &args, &nd, &mut mem);
             mem.read_f32(a).to_vec()
         };
         let expected = run_with(&original, &[]);

@@ -23,6 +23,7 @@ use crate::supervision::{
     DevicePin, LaunchEvents, SupervisionConfig, SupervisionStats, Supervisor,
 };
 use sim::fault::FaultPlan;
+use sim::interp::ExecError;
 use sim::{
     ArgValue, BufferId, CompiledKernel, Engine, KernelProfile, Memory, NdRange, Schedule, SimReport,
 };
@@ -139,19 +140,20 @@ pub struct PreparedKernel {
     pub cpu_source_2d: String,
     /// The original kernel lowered to flat bytecode at program build time;
     /// every profile of this kernel runs on the register VM against this
-    /// handle. `None` only if bytecode compilation rejected the kernel —
-    /// profiling then falls back to the tree-walking interpreter, another
-    /// arm of graceful degradation. Invalidated with the prepared kernel
-    /// itself: a rebuild mints a new [`CompiledKernel`] (fresh `code_id`),
-    /// and the launch cache keys on that id.
-    pub compiled: Option<Arc<CompiledKernel>>,
+    /// handle. A kernel the VM cannot run (a `barrier()` nested in control
+    /// flow, a register-file overflow) keeps the lowering error instead:
+    /// the program still builds, and launching that kernel returns it as
+    /// [`DopiaError::Exec`]. Invalidated with the prepared kernel itself: a
+    /// rebuild mints a new [`CompiledKernel`] (fresh `code_id`), and the
+    /// launch cache keys on that id.
+    pub compiled: Result<Arc<CompiledKernel>, ExecError>,
 }
 
 impl PreparedKernel {
-    /// `code_id` of the compiled bytecode, or 0 when profiling falls back
-    /// to the tree-walker (cache keys embed this).
+    /// `code_id` of the compiled bytecode (cache keys embed this), or 0 for
+    /// a kernel that failed to lower and so never reaches the cache.
     pub fn code_id(&self) -> u64 {
-        self.compiled.as_ref().map(|c| c.code_id()).unwrap_or(0)
+        self.compiled.as_ref().map_or(0, |c| c.code_id())
     }
     /// The malleable variant for a launch dimensionality (`None` when the
     /// kernel is degraded to [`DegradedMode::GpuOriginalOnly`]).
@@ -425,10 +427,8 @@ impl Dopia {
                 };
             let cpu_source_1d = generate_cpu_source(&kernel, 1);
             let cpu_source_2d = generate_cpu_source(&kernel, 2);
-            // Lower to bytecode once per program build; a kernel the
-            // bytecode compiler rejects stays launchable on the
-            // tree-walking interpreter.
-            let compiled = sim::compile_kernel(&kernel).ok().map(Arc::new);
+            // Lower to bytecode once per program build.
+            let compiled = sim::compile_kernel(&kernel).map(Arc::new);
             kernels.push(PreparedKernel {
                 id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
                 original: kernel,
@@ -629,17 +629,10 @@ impl Dopia {
                 "injected transient profile failure".to_string(),
             ));
         }
-        // Hot path: the bytecode cached at program build time, skipping
-        // per-launch lowering. Kernels without a compiled form (or runs
-        // forcing the reference interpreter) go through `Engine::profile`,
-        // which picks the engine per its options.
-        if !self.engine.reference_interpreter {
-            if let Some(ck) = &prepared.compiled {
-                return Ok(self.engine.profile_compiled(ck, args, &nd, mem)?);
-            }
-        }
-        let spec = sim::engine::LaunchSpec { kernel: &prepared.original, args, nd };
-        Ok(self.engine.profile(spec, mem)?)
+        // The bytecode cached at program build time, skipping per-launch
+        // lowering.
+        let ck = prepared.compiled.as_ref().map_err(|e| DopiaError::Exec(e.clone()))?;
+        Ok(self.engine.profile_compiled(ck, args, &nd, mem)?)
     }
 
     /// Model selection + simulated co-execution for an already-profiled

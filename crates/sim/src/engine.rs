@@ -4,7 +4,7 @@ use crate::buffer::{ArgValue, Memory};
 use crate::cost::{self, ModelConstants};
 use crate::des::{self, DesInput, GpuAgentParams};
 use crate::fault::FaultPlan;
-use crate::interp::{self, CompiledKernel, ExecError, ExecOptions, NullTracer};
+use crate::interp::{self, CompiledKernel, ExecError, Mode, NullTracer};
 use crate::ndrange::NdRange;
 use crate::platform::PlatformConfig;
 use crate::profile::{self, KernelProfile};
@@ -82,10 +82,6 @@ pub struct Engine {
     /// fast path applies. Used by the equivalence suite and the perf
     /// benchmarks to measure both paths through the same API.
     pub exact_des_only: bool,
-    /// Profile on the tree-walking reference interpreter instead of the
-    /// bytecode VM. The oracle for the differential suite; ~an order of
-    /// magnitude slower on cold enqueues.
-    pub reference_interpreter: bool,
 }
 
 impl Engine {
@@ -94,7 +90,6 @@ impl Engine {
             platform,
             consts: ModelConstants::default(),
             exact_des_only: false,
-            reference_interpreter: false,
         }
     }
 
@@ -113,7 +108,7 @@ impl Engine {
         spec.nd
             .validate()
             .map_err(|m| ExecError { message: m, span: spec.kernel.span })?;
-        profile::profile_kernel_with(spec.kernel, spec.args, &spec.nd, mem, &self.profile_opts())
+        profile::profile_kernel(spec.kernel, spec.args, &spec.nd, mem)
     }
 
     /// [`Engine::profile`] on a pre-compiled kernel — the cold-enqueue hot
@@ -127,24 +122,15 @@ impl Engine {
     ) -> Result<KernelProfile, ExecError> {
         nd.validate()
             .map_err(|m| ExecError { message: m, span: ck.span() })?;
-        profile::profile_compiled(ck, args, nd, mem, &self.profile_opts())
+        profile::profile_compiled(ck, args, nd, mem)
     }
 
-    fn profile_opts(&self) -> ExecOptions {
-        ExecOptions { reference_interpreter: self.reference_interpreter, ..ExecOptions::profile() }
-    }
-
-    /// Execute a launch functionally (full interpretation; mutates `mem`).
-    /// Use for correctness validation at laptop-scale problem sizes.
+    /// Execute a launch functionally on the VM (full interpretation;
+    /// mutates `mem`). Use for correctness validation at laptop-scale
+    /// problem sizes.
     pub fn run_functional(&self, spec: LaunchSpec<'_>, mem: &mut Memory) -> Result<(), ExecError> {
-        interp::run_kernel(
-            spec.kernel,
-            spec.args,
-            &spec.nd,
-            mem,
-            &ExecOptions::default(),
-            &mut NullTracer,
-        )
+        let ck = interp::compile_kernel(spec.kernel)?;
+        interp::run_kernel(&ck, spec.args, &spec.nd, mem, Mode::Full, &mut NullTracer)
     }
 
     /// Simulate the timing of a launch under a DoP configuration and

@@ -1,4 +1,5 @@
-//! Functional interpreter for `clc` kernels.
+//! The interpreter for `clc` kernels: a compiler to flat bytecode
+//! ([`compile`]) and the register VM that runs it ([`vm`]).
 //!
 //! Executes OpenCL work-groups the way an integrated device would observe
 //! them: work-items of one group share `__local` memory and synchronize at
@@ -13,8 +14,8 @@
 //!   malleable rewrites are semantics-preserving.
 //! * [`Mode::Profile`] — sampling execution for the profiler: stores are
 //!   suppressed and counted, and `for` loops with analyzable induction
-//!   variables run a few iterations and extrapolate the rest (see
-//!   `exec`). Used to characterize paper-scale inputs without paying
+//!   variables run [`PROFILE_LOOP_SAMPLES`] iterations and extrapolate the
+//!   rest. Used to characterize paper-scale inputs without paying
 //!   paper-scale interpretation time.
 //!
 //! Barrier restriction: `barrier()` must appear as a top-level statement of
@@ -23,16 +24,26 @@
 //! starts. This matches how Dopia's generated malleable kernels use
 //! barriers (one after worklist initialization) and covers the OpenCL
 //! work-group execution model for that shape. A barrier nested in control
-//! flow is reported as an unsupported-construct error.
+//! flow is rejected when the kernel is lowered ([`compile_kernel`]).
+//!
+//! The VM is the only interpreter here. The tree-walking reference oracle
+//! it is tested against lives in the test-only `dopia-interp-oracle`
+//! crate, which builds on the shared helpers re-exported below
+//! ([`bind_args`], [`split_phases`], [`binary_op`], [`const_int`],
+//! [`writes_var`]).
 
 pub mod compile;
 mod exec;
 mod tracer;
 pub mod vm;
 
-pub use compile::{compile_kernel, compile_kernel_with, CompileOptions, CompiledKernel, SiteTable};
-pub use exec::{run_kernel, run_single_items, run_work_group, ExecError, ExecOptions, Mode};
+pub use compile::{compile_kernel, CompiledKernel, SiteTable};
+pub use exec::{
+    bind_args, binary_op, const_int, split_phases, writes_var, ExecError, ExecResult, Mode,
+    PROFILE_LOOP_SAMPLES,
+};
 pub use tracer::{NullTracer, SiteKey, SiteStats, Tracer, TracingTracer};
+pub use vm::{run_kernel, run_single_items, run_work_group};
 
 use crate::buffer::BufferId;
 use clc::Scalar;

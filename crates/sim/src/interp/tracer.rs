@@ -11,7 +11,8 @@ use crate::buffer::BufferId;
 /// compile time by [`crate::interp::compile::SiteTable`] (one id per `Index`
 /// expression in the kernel body, in traversal order). Dense ids let the
 /// tracer use a flat `Vec` instead of a hash map, and both the bytecode VM
-/// and the tree-walking reference interpreter share the same table — so
+/// and the tree-walking reference oracle (`dopia-interp-oracle`) share the
+/// same table — so
 /// repeated executions of the same expression accumulate into one site and
 /// the two engines produce comparable statistics.
 pub type SiteKey = u32;

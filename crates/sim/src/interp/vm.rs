@@ -1,16 +1,16 @@
 //! The bytecode VM: executes [`super::compile::CompiledKernel`] phases with
 //! a dense `Vec<Value>` register file.
 //!
-//! Every instruction handler reproduces the corresponding tree-walker
-//! behaviour *exactly* — same tracer events in the same order, same error
-//! messages, same arithmetic (including the shared [`binary_op`] kernel and
-//! the same overflow/panic behaviour on degenerate inputs). The profiler
-//! runs on this VM by default; `ExecOptions::reference_interpreter` switches
-//! back to the tree-walker, and the differential suite in
-//! `tests/bytecode_equivalence.rs` pins the two together.
+//! This is the only interpreter in the production crates: the profiler and
+//! functional execution both run here. Every instruction handler reproduces
+//! the behaviour of the tree-walking reference oracle (the test-only
+//! `dopia-interp-oracle` crate) *exactly* — same tracer events in the same
+//! order, same error messages, same arithmetic (including the shared
+//! [`binary_op`] kernel and the same overflow/panic behaviour on degenerate
+//! inputs). The differential suite in that crate pins the two together.
 
 use super::compile::{AtomicFn, CompiledKernel, IdFn, Insn, LocalSpec, Math1Fn, Math2Fn, Phase};
-use super::exec::{bind_args, binary_op, ExecError, ExecOptions, ExecResult, Mode};
+use super::exec::{bind_args, binary_op, ExecError, ExecResult, Mode, PROFILE_LOOP_SAMPLES};
 use super::tracer::Tracer;
 use super::Value;
 use crate::buffer::{ArgValue, Memory};
@@ -21,7 +21,7 @@ use clc::{BinOp, UnOp};
 struct Vm<'a, T: Tracer> {
     mem: &'a mut Memory,
     tracer: &'a mut T,
-    opts: &'a ExecOptions,
+    mode: Mode,
     nd: &'a NdRange,
     gid: [usize; 3],
     lid: [usize; 3],
@@ -42,8 +42,8 @@ impl<'a, T: Tracer> Vm<'a, T> {
         let spans = &phase.spans;
         let mut pc = 0usize;
         // Open scale regions (profile-mode loop extrapolation). `return`
-        // unwinds them all, exactly like Flow::Return propagating out of
-        // nested extrapolated loops in the tree-walker.
+        // unwinds them all, exactly like a `return` propagating out of
+        // nested extrapolated loops in the reference oracle.
         let mut scale_depth = 0usize;
         while pc < code.len() {
             let span = spans[pc];
@@ -95,7 +95,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                     }
                 }
                 Insn::JumpIfFull { to } => {
-                    if self.opts.mode == Mode::Full {
+                    if self.mode == Mode::Full {
                         pc = to as usize;
                         continue;
                     }
@@ -171,7 +171,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                                 ));
                             }
                             self.tracer.store(site, buf, i, elem.size_bytes());
-                            if self.opts.mode == Mode::Full {
+                            if self.mode == Mode::Full {
                                 let b = self.mem.get_mut(buf);
                                 if elem.is_float() {
                                     b.store_f64(i as usize, value.as_f32() as f64);
@@ -401,7 +401,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                         _ => (cur - bnd - delta).div_euclid(-delta).max(0),
                     };
                     let trips = trips as u64;
-                    let samples = self.opts.profile_loop_samples.max(1) as u64;
+                    let samples = PROFILE_LOOP_SAMPLES as u64;
                     if trips <= samples * 2 {
                         // Short loop: run every iteration, no extrapolation.
                         regs[counter as usize] = Value::Int(trips as i64);
@@ -458,7 +458,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
 }
 
 /// Per-item state surviving across barrier phases (registers and private
-/// arrays; mirrors the tree-walker's `ItemState`).
+/// arrays).
 struct Item {
     regs: Vec<Value>,
     priv_arrays: Vec<Vec<Value>>,
@@ -472,7 +472,7 @@ pub fn run_work_group<T: Tracer>(
     nd: &NdRange,
     group_linear: usize,
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let params = bind_args(&ck.name, &ck.params, ck.span, args, mem)?;
@@ -500,7 +500,7 @@ pub fn run_work_group<T: Tracer>(
             let mut vm = Vm {
                 mem,
                 tracer,
-                opts,
+                mode,
                 nd,
                 gid,
                 lid: local,
@@ -523,12 +523,12 @@ pub fn run_kernel<T: Tracer>(
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     nd.validate().map_err(|m| ExecError::new(m, ck.span))?;
     for g in 0..nd.num_groups() {
-        run_work_group(ck, args, nd, g, mem, opts, tracer)?;
+        run_work_group(ck, args, nd, g, mem, mode, tracer)?;
     }
     Ok(())
 }
@@ -542,7 +542,7 @@ pub fn run_single_items<T: Tracer>(
     nd: &NdRange,
     global_ids: &[usize],
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     if ck.phases.len() > 1 {
@@ -552,8 +552,8 @@ pub fn run_single_items<T: Tracer>(
         ));
     }
     let params = bind_args(&ck.name, &ck.params, ck.span, args, mem)?;
-    // One register file and arena reused across items (reset per item, like
-    // the tree-walker's fresh per-item scopes — but without reallocating).
+    // One register file and arena reused across items (reset per item, so
+    // every item starts from fresh state without reallocating).
     let mut regs = vec![Value::Int(0); ck.n_regs];
     let mut priv_arrays: Vec<Vec<Value>> = Vec::new();
     let mut locals: Vec<Option<Vec<Value>>> = vec![None; ck.locals.len()];
@@ -587,7 +587,7 @@ pub fn run_single_items<T: Tracer>(
         let mut vm = Vm {
             mem,
             tracer,
-            opts,
+            mode,
             nd,
             gid,
             lid,
@@ -599,4 +599,401 @@ pub fn run_single_items<T: Tracer>(
         vm.run_phase(&ck.phases[0], &mut regs)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::interp::{compile_kernel, NullTracer, TracingTracer};
+
+    fn kernel_of(src: &str) -> clc::Kernel {
+        clc::compile(src).unwrap().kernels.remove(0)
+    }
+
+    fn compile1(src: &str) -> CompiledKernel {
+        compile_kernel(&kernel_of(src)).unwrap()
+    }
+
+    fn run(src: &str, args: &[ArgValue], nd: NdRange, mem: &mut Memory) {
+        let k = compile1(src);
+        run_kernel(&k, args, &nd, mem, Mode::Full, &mut NullTracer).unwrap();
+    }
+
+    #[test]
+    fn vector_scale() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32((0..16).map(|i| i as f32).collect());
+        run(
+            "__kernel void s(__global float* a, float f, int n) {
+                int i = get_global_id(0);
+                if (i < n) { a[i] = a[i] * f; }
+            }",
+            &[ArgValue::Buffer(a), ArgValue::Float(2.0), ArgValue::Int(16)],
+            NdRange::d1(16, 4),
+            &mut mem,
+        );
+        let out = mem.read_f32(a);
+        assert_eq!(out[5], 10.0);
+        assert_eq!(out[15], 30.0);
+    }
+
+    #[test]
+    fn two_dim_ids() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_i32(vec![0; 8 * 4]);
+        run(
+            "__kernel void f(__global int* a, int w) {
+                int x = get_global_id(0);
+                int y = get_global_id(1);
+                a[y * w + x] = y * 100 + x;
+            }",
+            &[ArgValue::Buffer(a), ArgValue::Int(8)],
+            NdRange::d2([8, 4], [4, 2]),
+            &mut mem,
+        );
+        let out = mem.read_i32(a);
+        assert_eq!(out[0], 0);
+        assert_eq!(out[8 * 3 + 7], 307);
+    }
+
+    #[test]
+    fn nested_loops_matrix_sum() {
+        let mut mem = Memory::new();
+        let n = 4usize;
+        let a = mem.alloc_f32(vec![1.0; n * n * n]);
+        let b = mem.alloc_f32(vec![2.0; n * n * n]);
+        let c = mem.alloc_f32(vec![0.0; n * n * n]);
+        run(
+            "__kernel void two_mat3d(__global float* A, __global float* B, __global float* C,
+                                     int NZ, int NY, int NX) {
+                int z = get_global_id(0);
+                if (z < NZ) {
+                    for (int y = 0; y < NY; y++) {
+                        for (int x = 0; x < NX; x++) {
+                            int idx = z * (NY * NX) + y * NX + x;
+                            C[idx] = A[idx] + B[idx];
+                        }
+                    }
+                }
+            }",
+            &[
+                ArgValue::Buffer(a),
+                ArgValue::Buffer(b),
+                ArgValue::Buffer(c),
+                ArgValue::Int(n as i64),
+                ArgValue::Int(n as i64),
+                ArgValue::Int(n as i64),
+            ],
+            NdRange::d1(n, 2),
+            &mut mem,
+        );
+        assert!(mem.read_f32(c).iter().all(|&v| v == 3.0));
+    }
+
+    #[test]
+    fn barrier_and_local_worklist() {
+        // The exact malleable shape from paper Fig. 5: only lanes with
+        // local_id % mod < alloc work, pulling items off a local worklist.
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![0.0; 32]);
+        run(
+            "__kernel void m(__global float* A, int dop_mod, int dop_alloc) {
+                __local int wl[1];
+                if (get_local_id(0) == 0) { wl[0] = 0; }
+                barrier(CLK_LOCAL_MEM_FENCE);
+                if (get_local_id(0) % dop_mod < dop_alloc) {
+                    for (int w = atomic_inc(wl); w < get_local_size(0); w = atomic_inc(wl)) {
+                        int idx = get_group_id(0) * get_local_size(0) + w;
+                        A[idx] = A[idx] + 1.0f;
+                    }
+                }
+            }",
+            &[ArgValue::Buffer(a), ArgValue::Int(4), ArgValue::Int(1)],
+            NdRange::d1(32, 8),
+            &mut mem,
+        );
+        // Every element incremented exactly once despite only 1/4 of lanes
+        // being active.
+        assert!(mem.read_f32(a).iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn nested_barrier_rejected() {
+        // The VM rejects the kernel when lowering it, before any launch.
+        let k = kernel_of(
+            "__kernel void f() { if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); } }",
+        );
+        let err = compile_kernel(&k).unwrap_err();
+        assert!(err.message.contains("top-level"));
+    }
+
+    #[test]
+    fn out_of_bounds_reported() {
+        let k = compile1(
+            "__kernel void f(__global float* a) { a[get_global_id(0)] = 1.0f; }",
+        );
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![0.0; 2]);
+        let err = run_kernel(
+            &k,
+            &[ArgValue::Buffer(a)],
+            &NdRange::d1(4, 2),
+            &mut mem,
+            Mode::Full,
+            &mut NullTracer,
+        )
+        .unwrap_err();
+        assert!(err.message.contains("out of bounds"));
+    }
+
+    #[test]
+    fn division_by_zero_reported() {
+        let k = compile1("__kernel void f(int x, int y) { x = x / y; }");
+        let mut mem = Memory::new();
+        let err = run_kernel(
+            &k,
+            &[ArgValue::Int(1), ArgValue::Int(0)],
+            &NdRange::d1(1, 1),
+            &mut mem,
+            Mode::Full,
+            &mut NullTracer,
+        )
+        .unwrap_err();
+        assert!(err.message.contains("division by zero"));
+    }
+
+    #[test]
+    fn wrong_arg_count_reported() {
+        let k = compile1("__kernel void f(int x) { x = 0; }");
+        let mut mem = Memory::new();
+        let err = run_kernel(
+            &k,
+            &[],
+            &NdRange::d1(1, 1),
+            &mut mem,
+            Mode::Full,
+            &mut NullTracer,
+        )
+        .unwrap_err();
+        assert!(err.message.contains("takes 1 arguments"));
+    }
+
+    #[test]
+    fn profile_mode_suppresses_global_stores() {
+        let k = compile1("__kernel void f(__global float* a) { a[get_global_id(0)] = 5.0f; }");
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![1.0; 4]);
+        let mut t = TracingTracer::new();
+        run_single_items(
+            &k,
+            &[ArgValue::Buffer(a)],
+            &NdRange::d1(4, 4),
+            &[0, 1],
+            &mut mem,
+            Mode::Profile,
+            &mut t,
+        )
+        .unwrap();
+        assert_eq!(mem.read_f32(a), &[1.0; 4]); // untouched
+        assert_eq!(t.total_accesses(), 2.0); // but traced
+    }
+
+    #[test]
+    fn profile_extrapolates_long_loops() {
+        // 1000-iteration loop: only ~4 iterations actually execute but the
+        // tracer reports ~1000 accesses.
+        let k = compile1(
+            "__kernel void f(__global float* a, float s, int n) {
+                for (int i = 0; i < n; i++) { s = s + a[i % 8]; }
+                a[0] = s;
+            }",
+        );
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![1.0; 8]);
+        let mut t = TracingTracer::new();
+        run_single_items(
+            &k,
+            &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(1000)],
+            &NdRange::d1(1, 1),
+            &[0],
+            &mut mem,
+            Mode::Profile,
+            &mut t,
+        )
+        .unwrap();
+        let loads: f64 = t
+            .sites()
+            .filter(|(_, s)| !s.is_store)
+            .map(|(_, s)| s.count)
+            .sum();
+        assert!((loads - 1000.0).abs() < 1e-6, "extrapolated loads = {}", loads);
+    }
+
+    #[test]
+    fn profile_and_full_agree_on_counts_for_short_loops() {
+        let src = "__kernel void f(__global float* a, float s, int n) {
+            for (int i = 0; i < n; i++) { s = s + a[i]; }
+            a[0] = s;
+        }";
+        let k = compile1(src);
+        let nd = NdRange::d1(1, 1);
+        let count_with = |mode: Mode| {
+            let mut mem = Memory::new();
+            let a = mem.alloc_f32(vec![1.0; 8]);
+            let mut t = TracingTracer::new();
+            run_single_items(
+                &k,
+                &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(8)],
+                &nd,
+                &[0],
+                &mut mem,
+                mode,
+                &mut t,
+            )
+            .unwrap();
+            t.total_accesses()
+        };
+        assert_eq!(count_with(Mode::Full), count_with(Mode::Profile));
+    }
+
+    #[test]
+    fn data_dependent_loop_extrapolates_with_loaded_bound() {
+        // SpMV-style loop bound loaded from a row-pointer array.
+        let k = compile1(
+            "__kernel void f(__global int* rp, __global float* v, __global float* out) {
+                int i = get_global_id(0);
+                float s = 0.0f;
+                for (int j = rp[i]; j < rp[i + 1]; j++) { s = s + v[j]; }
+                out[i] = s;
+            }",
+        );
+        let mut mem = Memory::new();
+        let rp = mem.alloc_i32(vec![0, 100, 300]);
+        let v = mem.alloc_f32(vec![1.0; 300]);
+        let out = mem.alloc_f32(vec![0.0; 2]);
+        let mut t = TracingTracer::new();
+        run_single_items(
+            &k,
+            &[ArgValue::Buffer(rp), ArgValue::Buffer(v), ArgValue::Buffer(out)],
+            &NdRange::d1(2, 1),
+            &[1],
+            &mut mem,
+            Mode::Profile,
+            &mut t,
+        )
+        .unwrap();
+        // Row 1 has 200 elements.
+        let v_loads: f64 = t
+            .sites()
+            .filter(|(_, s)| s.buffer == Some(v) && !s.is_store)
+            .map(|(_, s)| s.count)
+            .sum();
+        assert!((v_loads - 200.0).abs() < 1e-6, "v loads = {}", v_loads);
+    }
+
+    #[test]
+    fn while_loop_and_break_continue() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_i32(vec![0; 1]);
+        run(
+            "__kernel void f(__global int* a) {
+                int i = 0;
+                int sum = 0;
+                while (true) {
+                    i++;
+                    if (i > 10) { break; }
+                    if (i % 2 == 0) { continue; }
+                    sum += i;
+                }
+                a[0] = sum;
+            }",
+            &[ArgValue::Buffer(a)],
+            NdRange::d1(1, 1),
+            &mut mem,
+        );
+        assert_eq!(mem.read_i32(a)[0], 1 + 3 + 5 + 7 + 9);
+    }
+
+    #[test]
+    fn ternary_and_math_builtins() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![0.0; 3]);
+        run(
+            "__kernel void f(__global float* a) {
+                a[0] = sqrt(16.0f);
+                a[1] = fmax(1.0f, 2.0f);
+                a[2] = 3 > 2 ? 1.5f : 0.5f;
+            }",
+            &[ArgValue::Buffer(a)],
+            NdRange::d1(1, 1),
+            &mut mem,
+        );
+        assert_eq!(mem.read_f32(a), &[4.0, 2.0, 1.5]);
+    }
+
+    #[test]
+    fn int_buffer_backs_long_pointer_and_casts() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_i32(vec![0; 2]);
+        run(
+            "__kernel void f(__global int* a) {
+                a[0] = (int)(2.9f);
+                a[1] = (int)((float)7 / 2.0f);
+            }",
+            &[ArgValue::Buffer(a)],
+            NdRange::d1(1, 1),
+            &mut mem,
+        );
+        assert_eq!(mem.read_i32(a), &[2, 3]);
+    }
+
+    #[test]
+    fn global_atomics_accumulate_across_groups() {
+        let mut mem = Memory::new();
+        let c = mem.alloc_i32(vec![0; 1]);
+        run(
+            "__kernel void f(__global int* c) { atomic_add(c, 2); }",
+            &[ArgValue::Buffer(c)],
+            NdRange::d1(16, 4),
+            &mut mem,
+        );
+        assert_eq!(mem.read_i32(c)[0], 32);
+    }
+
+    #[test]
+    fn global_offset_shifts_ids() {
+        // OpenCL global_work_offset: ids start at the offset; the guard
+        // kernel writes only within [off, off + range).
+        let mut mem = Memory::new();
+        let a = mem.alloc_i32(vec![0; 48]);
+        let k = compile1(
+            "__kernel void f(__global int* a) {
+                int i = get_global_id(0);
+                a[i] = get_global_offset(0) + 1;
+            }",
+        );
+        let nd = NdRange::d1(16, 8).with_offset([32, 0, 0]);
+        run_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mut mem, Mode::Full, &mut NullTracer)
+            .unwrap();
+        let out = mem.read_i32(a);
+        assert!(out[..32].iter().all(|&v| v == 0));
+        assert!(out[32..48].iter().all(|&v| v == 33));
+    }
+
+    #[test]
+    fn return_skips_rest_of_item() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_i32(vec![0; 4]);
+        run(
+            "__kernel void f(__global int* a) {
+                int i = get_global_id(0);
+                if (i >= 2) { return; }
+                a[i] = 1;
+            }",
+            &[ArgValue::Buffer(a)],
+            NdRange::d1(4, 4),
+            &mut mem,
+        );
+        assert_eq!(mem.read_i32(a), &[1, 1, 0, 0]);
+    }
 }

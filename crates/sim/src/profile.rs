@@ -18,8 +18,8 @@
 
 use crate::buffer::{ArgValue, Memory};
 use crate::interp::{
-    compile_kernel, run_single_items, vm, CompiledKernel, ExecError, ExecOptions, SiteKey,
-    SiteStats, TracingTracer,
+    compile_kernel, run_single_items, CompiledKernel, ExecError, Mode, SiteKey, SiteStats,
+    TracingTracer,
 };
 use crate::ndrange::NdRange;
 use clc::Kernel;
@@ -161,46 +161,14 @@ fn sample_ids(total: usize) -> Vec<usize> {
 /// Profile `kernel` for the given launch geometry by interpreting sampled
 /// work-items. The kernel must be barrier-free (original, untransformed
 /// kernels always are). Compiles to bytecode and runs the VM; use
-/// [`profile_kernel_with`] to pick options (including the tree-walking
-/// reference interpreter), or [`profile_compiled`] to reuse a cached
-/// [`CompiledKernel`].
+/// [`profile_compiled`] to reuse a cached [`CompiledKernel`].
 pub fn profile_kernel(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_kernel_with(kernel, args, nd, mem, &ExecOptions::profile())
-}
-
-/// Profile with explicit options. `opts.reference_interpreter` selects the
-/// tree-walking oracle; otherwise the kernel is compiled (once, here) and
-/// profiled on the bytecode VM.
-pub fn profile_kernel_with(
-    kernel: &Kernel,
-    args: &[ArgValue],
-    nd: &NdRange,
-    mem: &mut Memory,
-    opts: &ExecOptions,
-) -> Result<KernelProfile, ExecError> {
-    if !opts.reference_interpreter {
-        // A kernel the bytecode compiler rejects (e.g. register-file
-        // overflow) degrades to the tree-walker instead of failing the
-        // launch — the two engines are observationally equivalent.
-        if let Ok(ck) = compile_kernel(kernel) {
-            return profile_compiled(&ck, args, nd, mem, opts);
-        }
-    }
-    let ids = sample_ids(nd.global_size());
-    // One tracer per item so per-item counts and cross-item deltas can be
-    // compared; dense site ids are shared across runs.
-    let mut tracers: Vec<TracingTracer> = Vec::with_capacity(ids.len());
-    for &id in &ids {
-        let mut t = TracingTracer::new();
-        run_single_items(kernel, args, nd, &[id], mem, opts, &mut t)?;
-        tracers.push(t);
-    }
-    Ok(aggregate(&ids, &tracers, mem))
+    profile_compiled(&compile_kernel(kernel)?, args, nd, mem)
 }
 
 /// Profile a pre-compiled kernel on the bytecode VM: the hot path for cold
@@ -210,21 +178,33 @@ pub fn profile_compiled(
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    opts: &ExecOptions,
+) -> Result<KernelProfile, ExecError> {
+    profile_with(nd, mem, |id, mem, tracer| {
+        run_single_items(ck, args, nd, &[id], mem, Mode::Profile, tracer)
+    })
+}
+
+/// The sampling driver behind every profile: runs each sampled work-item
+/// through `run_item` with a tracer of its own (so per-item counts and
+/// cross-item deltas can be compared), then aggregates the records. An
+/// interpreter other than the VM (the reference oracle) profiles through
+/// this too, so a profile is a pure function of the traced event streams.
+pub fn profile_with(
+    nd: &NdRange,
+    mem: &mut Memory,
+    mut run_item: impl FnMut(usize, &mut Memory, &mut TracingTracer) -> Result<(), ExecError>,
 ) -> Result<KernelProfile, ExecError> {
     let ids = sample_ids(nd.global_size());
     let mut tracers: Vec<TracingTracer> = Vec::with_capacity(ids.len());
     for &id in &ids {
         let mut t = TracingTracer::new();
-        vm::run_single_items(ck, args, nd, &[id], mem, opts, &mut t)?;
+        run_item(id, mem, &mut t)?;
         tracers.push(t);
     }
     Ok(aggregate(&ids, &tracers, mem))
 }
 
-/// Fold per-item tracer records into a [`KernelProfile`]. Shared by both
-/// engines, so a profile is a pure function of the traced event streams —
-/// the differential suite compares profiles to pin VM ≡ tree-walker.
+/// Fold per-item tracer records into a [`KernelProfile`].
 fn aggregate(ids: &[usize], tracers: &[TracingTracer], mem: &Memory) -> KernelProfile {
     // Union of sites over all items, in first-touch order of the first item
     // that saw them.

@@ -63,8 +63,6 @@ OPTIONS (run):
   --show-malleable     print the malleable GPU rewrite
   --show-cpu           print the generated CPU code
   --no-launch-cache    disable the enqueue decision cache (profile every launch)
-  --reference-interpreter  profile on the tree-walking reference interpreter
-                       instead of the bytecode VM (slow; for differential checks)
 
 SUPERVISION (run; the self-healing layer is on by default):
   --no-supervision           disable circuit breakers, deadlines and quarantine
@@ -95,7 +93,6 @@ struct Options {
     show_malleable: bool,
     show_cpu: bool,
     no_launch_cache: bool,
-    reference_interpreter: bool,
     no_supervision: bool,
     breaker_threshold: Option<u32>,
     deadline_factor: Option<f64>,
@@ -128,7 +125,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
         show_malleable: false,
         show_cpu: false,
         no_launch_cache: false,
-        reference_interpreter: false,
         no_supervision: false,
         breaker_threshold: None,
         deadline_factor: None,
@@ -168,7 +164,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
             "--show-malleable" => opts.show_malleable = true,
             "--show-cpu" => opts.show_cpu = true,
             "--no-launch-cache" => opts.no_launch_cache = true,
-            "--reference-interpreter" => opts.reference_interpreter = true,
             "--no-supervision" => opts.no_supervision = true,
             "--breaker-threshold" => {
                 let n: u32 =
@@ -265,10 +260,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
         Err(e) => return fail(format!("{}: {}", opts.file, e)),
     };
     let engine = match engine_for(&opts.platform) {
-        Ok(mut e) => {
-            e.reference_interpreter = opts.reference_interpreter;
-            e
-        }
+        Ok(e) => e,
         Err(e) => return fail(e),
     };
     let model = match &opts.model {

@@ -194,6 +194,37 @@ fn mixed_program_degrades_only_the_untransformable_kernel() {
     assert!(!r2.selection.fallback);
 }
 
+/// A kernel sema accepts but the VM cannot run (here a `barrier()` inside
+/// an `if`) does not fail its program: the sibling kernel launches, and
+/// launching the bad one returns the lowering error, typed, not a panic.
+#[test]
+fn kernel_that_fails_to_lower_errors_only_at_its_own_launch() {
+    let dopia = coexec_dopia();
+    let program = dopia
+        .create_program_with_source(
+            "__kernel void good(__global float* a) { a[get_global_id(0)] = 1.0f; }
+             __kernel void bad(__global float* a) {
+                 if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }
+                 a[get_global_id(0)] = 2.0f;
+             }",
+        )
+        .unwrap();
+    assert_eq!(program.kernels.len(), 2);
+    assert!(program.kernel("bad").unwrap().compiled.is_err());
+
+    let mut mem = Memory::new();
+    let args = [ArgValue::Buffer(mem.alloc_f32(vec![0.0; 1024]))];
+    let nd = NdRange::d1(1024, 256);
+    assert!(dopia.enqueue_nd_range_kernel(&program, "good", &args, nd, &mut mem).is_ok());
+    match dopia.enqueue_nd_range_kernel(&program, "bad", &args, nd, &mut mem) {
+        Err(DopiaError::Exec(e)) => assert_eq!(
+            e.message,
+            "barrier() must be a top-level statement of the kernel body"
+        ),
+        other => panic!("expected a typed lowering error, got {:?}", other.map(|r| r.selection)),
+    }
+}
+
 /// Injected transient profiling failures are absorbed by the queue's
 /// bounded retry; the backoff is charged to the launch and the retries
 /// surface in the health counters.
