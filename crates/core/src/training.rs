@@ -435,9 +435,11 @@ mod tests {
         let opts1 = TrainingOptions { threads: 1, ..Default::default() };
         let b = run_grid(&engine, &grid, &space, &opts1);
         assert_eq!(a.len(), grid.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.times, y.times, "{}", x.name);
+        assert_eq!(b.len(), grid.len());
+        for ((x, y), params) in a.iter().zip(&b).zip(&grid) {
+            assert_eq!(x.name, params.name());
+            // The grid-cache line: every field, floats in full precision.
+            assert_eq!(x.to_tsv(), y.to_tsv(), "{}", x.name);
         }
     }
 

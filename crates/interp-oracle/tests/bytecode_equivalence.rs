@@ -354,6 +354,44 @@ fn runtime_errors_are_identical() {
     }
 }
 
+#[test]
+fn virtual_buffer_writes_fail_identically() {
+    // A functional run may not store to a virtual buffer (the value would
+    // vanish); a profile run drops the store. Both engines must agree on the
+    // error, the trace up to it, and the profile-mode success.
+    let cases = &[
+        "__kernel void st(__global float* a, __global int* b, int N) {
+            int i = get_global_id(0);
+            a[i] = b[i] + 0.5f;
+            b[i] = i;
+        }",
+        "__kernel void at(__global float* a, __global int* b, int N) {
+            atomic_add(b, (int)a[get_global_id(0)]);
+        }",
+    ];
+    let nd = NdRange::d1(16, 4);
+    for src in cases {
+        let kernel = &clc::compile(src).unwrap().kernels[0];
+        let ck = compile_kernel(kernel).unwrap();
+        for mode in [Mode::Profile, Mode::Full] {
+            let bind = |mem: &mut Memory| {
+                let a = mem.alloc_f32(vec![0.0; 16]);
+                let b = mem.alloc_virtual_i32(16, 5);
+                [ArgValue::Buffer(a), ArgValue::Buffer(b), ArgValue::Int(16)]
+            };
+            let (mut mem_ref, mut mem_vm) = (Memory::new(), Memory::new());
+            let (args_ref, args_vm) = (bind(&mut mem_ref), bind(&mut mem_vm));
+            let (mut t_ref, mut t_vm) = (EventTracer::default(), EventTracer::default());
+            let r_ref = oracle::run_kernel(kernel, &args_ref, &nd, &mut mem_ref, mode, &mut t_ref);
+            let r_vm = interp::run_kernel(&ck, &args_vm, &nd, &mut mem_vm, mode, &mut t_vm);
+            assert_eq!(r_ref, r_vm, "{} [{:?}]", kernel.name, mode);
+            assert_eq!(r_vm.is_err(), mode == Mode::Full, "{} [{:?}]", kernel.name, mode);
+            assert_eq!(t_ref.events, t_vm.events, "{} [{:?}]", kernel.name, mode);
+            assert_eq!(snapshot(&mem_ref, &args_ref), snapshot(&mem_vm, &args_vm));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Proptest: randomized synthetic kernels
 // ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@
 //! [`Buffer`] is visible to both simulated devices without copies — exactly
 //! the property the paper's runtime exploits.
 //!
-//! Large float arrays can be *virtual*: they synthesize deterministic values
-//! on load and ignore stores. This lets the profiler run paper-scale inputs
-//! (e.g. a 16,384 x 16,384 Polybench matrix = 1 GiB) without allocating
-//! them. Virtual buffers are rejected by the functional interpreter when a
-//! store would be observable, so correctness tests always use real storage.
+//! Large float and int arrays can be *virtual*: they synthesize
+//! deterministic values on load and ignore stores. This lets the profiler
+//! run paper-scale inputs (e.g. a 16,384 x 16,384 Polybench matrix = 1 GiB)
+//! without allocating them. The functional interpreter (`Mode::Full`)
+//! rejects a store to a virtual buffer with an error, so correctness tests
+//! always use real storage.
 
 use clc::Scalar;
 
@@ -23,11 +24,15 @@ pub enum Buffer {
     F32(Vec<f32>),
     /// Real i32 storage.
     I32(Vec<i32>),
-    /// Virtual f32 array of `len` elements; `load(i)` returns a
-    /// deterministic pseudo-random value derived from `i` and `seed`.
-    /// Stores are silently dropped (profile mode only).
-    VirtualF32 { len: usize, seed: u64 },
+    /// Virtual array of `len` elements of type `elem`; `load(i)` returns a
+    /// deterministic pseudo-random value derived from `i` and `seed`
+    /// (floats in `[0, 1)`, ints in `[0, 1000)`). Stores are dropped
+    /// (profile mode only).
+    Virtual { elem: Scalar, len: usize, seed: u64 },
 }
+
+/// Exclusive upper bound of the values an int [`Buffer::Virtual`] loads.
+const VIRTUAL_INT_BOUND: u64 = 1000;
 
 impl Buffer {
     /// Number of elements.
@@ -35,7 +40,7 @@ impl Buffer {
         match self {
             Buffer::F32(v) => v.len(),
             Buffer::I32(v) => v.len(),
-            Buffer::VirtualF32 { len, .. } => *len,
+            Buffer::Virtual { len, .. } => *len,
         }
     }
 
@@ -47,8 +52,9 @@ impl Buffer {
     /// Element type.
     pub fn elem(&self) -> Scalar {
         match self {
-            Buffer::F32(_) | Buffer::VirtualF32 { .. } => Scalar::Float,
+            Buffer::F32(_) => Scalar::Float,
             Buffer::I32(_) => Scalar::Int,
+            Buffer::Virtual { elem, .. } => *elem,
         }
     }
 
@@ -59,7 +65,7 @@ impl Buffer {
 
     /// True for virtual (storage-less) buffers.
     pub fn is_virtual(&self) -> bool {
-        matches!(self, Buffer::VirtualF32 { .. })
+        matches!(self, Buffer::Virtual { .. })
     }
 
     /// Load element `idx` as f64 (ints widen, floats widen losslessly).
@@ -71,9 +77,13 @@ impl Buffer {
         match self {
             Buffer::F32(v) => v[idx] as f64,
             Buffer::I32(v) => v[idx] as f64,
-            Buffer::VirtualF32 { len, seed } => {
+            Buffer::Virtual { elem, len, seed } => {
                 assert!(idx < *len, "virtual buffer index {} out of bounds {}", idx, len);
-                synth_f32(*seed, idx) as f64
+                if elem.is_float() {
+                    synth_f32(*seed, idx) as f64
+                } else {
+                    synth_int(*seed, idx) as f64
+                }
             }
         }
     }
@@ -83,9 +93,13 @@ impl Buffer {
         match self {
             Buffer::F32(v) => v[idx] as i64,
             Buffer::I32(v) => v[idx] as i64,
-            Buffer::VirtualF32 { len, seed } => {
+            Buffer::Virtual { elem, len, seed } => {
                 assert!(idx < *len, "virtual buffer index {} out of bounds {}", idx, len);
-                synth_f32(*seed, idx) as i64
+                if elem.is_float() {
+                    synth_f32(*seed, idx) as i64
+                } else {
+                    synth_int(*seed, idx)
+                }
             }
         }
     }
@@ -96,7 +110,7 @@ impl Buffer {
         match self {
             Buffer::F32(v) => v[idx] = value as f32,
             Buffer::I32(v) => v[idx] = value as i32,
-            Buffer::VirtualF32 { len, .. } => {
+            Buffer::Virtual { len, .. } => {
                 assert!(idx < *len, "virtual buffer index {} out of bounds {}", idx, len);
             }
         }
@@ -107,23 +121,34 @@ impl Buffer {
         match self {
             Buffer::F32(v) => v[idx] = value as f32,
             Buffer::I32(v) => v[idx] = value as i32,
-            Buffer::VirtualF32 { len, .. } => {
+            Buffer::Virtual { len, .. } => {
                 assert!(idx < *len, "virtual buffer index {} out of bounds {}", idx, len);
             }
         }
     }
 }
 
-/// Deterministic pseudo-value for virtual buffers: a cheap integer hash of
-/// `(seed, idx)` mapped into `[0, 1)`.
-fn synth_f32(seed: u64, idx: usize) -> f32 {
+/// Deterministic pseudo-value for virtual buffers: the top 24 bits of a
+/// cheap integer hash of `(seed, idx)`.
+fn synth_bits(seed: u64, idx: usize) -> u64 {
     let mut x = seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
-    (x >> 40) as f32 / (1u64 << 24) as f32
+    x >> 40
+}
+
+/// Float virtual value in `[0, 1)`.
+fn synth_f32(seed: u64, idx: usize) -> f32 {
+    synth_bits(seed, idx) as f32 / (1u64 << 24) as f32
+}
+
+/// Int virtual value in `[0, VIRTUAL_INT_BOUND)` (multiply-shift, no
+/// division).
+fn synth_int(seed: u64, idx: usize) -> i64 {
+    ((synth_bits(seed, idx) * VIRTUAL_INT_BOUND) >> 24) as i64
 }
 
 /// The shared memory pool: an arena of buffers addressed by [`BufferId`].
@@ -166,7 +191,12 @@ impl Memory {
 
     /// Allocate a virtual f32 buffer of `len` elements.
     pub fn alloc_virtual_f32(&mut self, len: usize, seed: u64) -> BufferId {
-        self.alloc(Buffer::VirtualF32 { len, seed })
+        self.alloc(Buffer::Virtual { elem: Scalar::Float, len, seed })
+    }
+
+    /// Allocate a virtual i32 buffer of `len` elements.
+    pub fn alloc_virtual_i32(&mut self, len: usize, seed: u64) -> BufferId {
+        self.alloc(Buffer::Virtual { elem: Scalar::Int, len, seed })
     }
 
     pub fn get(&self, id: BufferId) -> &Buffer {
@@ -190,7 +220,7 @@ impl Memory {
         match &mut self.buffers[id.0] {
             Buffer::F32(v) => v.resize(new_len, 0.0),
             Buffer::I32(v) => v.resize(new_len, 0),
-            Buffer::VirtualF32 { len, .. } => *len = new_len,
+            Buffer::Virtual { len, .. } => *len = new_len,
         }
         self.generations[id.0] += 1;
     }
@@ -267,7 +297,7 @@ mod tests {
 
     #[test]
     fn virtual_buffers_are_deterministic_and_bounded() {
-        let b = Buffer::VirtualF32 { len: 100, seed: 42 };
+        let b = Buffer::Virtual { elem: Scalar::Float, len: 100, seed: 42 };
         let x = b.load_f64(17);
         let y = b.load_f64(17);
         assert_eq!(x, y);
@@ -277,11 +307,54 @@ mod tests {
     }
 
     #[test]
+    fn virtual_float_values_are_pinned() {
+        // Every Polybench and synthetic float input is drawn from this
+        // hash; a change to it must show up here, not as moved results.
+        let bits = |seed: u64, idx: usize| synth_f32(seed, idx).to_bits();
+        assert_eq!(bits(1, 0), 0x3ead_242c);
+        assert_eq!(bits(42, 17), 0x3e5b_74e0);
+        assert_eq!(bits(0xC11, 1000), 0x3f1e_d68b);
+        assert_eq!(bits(7, 123_456), 0x3e62_3cdc);
+        // Int loads scale the same 24 hash bits into [0, 1000).
+        assert_eq!(synth_int(1, 0), 338);
+        assert_eq!(synth_int(42, 17), 214);
+        assert_eq!(synth_int(0xC11, 1000), 620);
+        assert_eq!(synth_int(7, 123_456), 220);
+    }
+
+    #[test]
+    fn virtual_int_buffers_are_typed_bounded_and_deterministic() {
+        let mut mem = Memory::new();
+        let id = mem.alloc_virtual_i32(4096, 9);
+        let b = mem.get(id);
+        assert_eq!(b.len(), 4096);
+        assert_eq!(b.elem(), Scalar::Int);
+        assert_eq!(b.elem_bytes(), 4);
+        assert!(b.is_virtual());
+        let same = Buffer::Virtual { elem: Scalar::Int, len: 4096, seed: 9 };
+        let other = Buffer::Virtual { elem: Scalar::Int, len: 4096, seed: 10 };
+        let mut distinct = std::collections::HashSet::new();
+        for i in 0..4096 {
+            let v = b.load_i64(i);
+            assert!((0..VIRTUAL_INT_BOUND as i64).contains(&v), "{}: {}", i, v);
+            assert_eq!(b.load_f64(i), v as f64);
+            assert_eq!(same.load_i64(i), v);
+            distinct.insert(v);
+        }
+        // The values cover the range rather than collapsing to a few.
+        assert!(distinct.len() > 900, "{} distinct values", distinct.len());
+        assert!((0..64).any(|i| other.load_i64(i) != b.load_i64(i)));
+    }
+
+    #[test]
     fn virtual_stores_are_dropped() {
-        let mut b = Buffer::VirtualF32 { len: 10, seed: 1 };
-        let before = b.load_f64(3);
-        b.store_f64(3, 99.0);
-        assert_eq!(b.load_f64(3), before);
+        for elem in [Scalar::Float, Scalar::Int] {
+            let mut b = Buffer::Virtual { elem, len: 10, seed: 1 };
+            let before = (b.load_f64(3), b.load_i64(3));
+            b.store_f64(3, 99.0);
+            b.store_i64(3, 77);
+            assert_eq!((b.load_f64(3), b.load_i64(3)), before, "{:?}", elem);
+        }
     }
 
     #[test]
@@ -295,13 +368,19 @@ mod tests {
         assert_eq!(mem.generation(f), 1);
         assert_eq!(mem.get(f).len(), 8);
         assert_eq!(mem.get(f).load_f64(0), 1.0, "resize preserves prefix");
-        mem.rebind(f, Buffer::VirtualF32 { len: 16, seed: 3 });
+        mem.rebind(f, Buffer::Virtual { elem: Scalar::Float, len: 16, seed: 3 });
         assert_eq!(mem.generation(f), 2);
         assert_eq!(mem.get(f).len(), 16);
-        let v = mem.alloc_virtual_f32(10, 1);
-        mem.resize(v, 20);
-        assert_eq!(mem.generation(v), 1);
-        assert_eq!(mem.get(v).len(), 20);
+        for v in [mem.alloc_virtual_f32(10, 1), mem.alloc_virtual_i32(10, 1)] {
+            let elem = mem.get(v).elem();
+            mem.resize(v, 20);
+            assert_eq!(mem.generation(v), 1);
+            assert_eq!(mem.get(v).len(), 20);
+            assert_eq!(mem.get(v).elem(), elem, "resize keeps the element type");
+            mem.rebind(v, Buffer::Virtual { elem, len: 5, seed: 2 });
+            assert_eq!(mem.generation(v), 2);
+            assert_eq!(mem.get(v).len(), 5);
+        }
     }
 
     #[test]
@@ -314,7 +393,21 @@ mod tests {
     #[test]
     #[should_panic]
     fn virtual_out_of_bounds_panics() {
-        let b = Buffer::VirtualF32 { len: 2, seed: 0 };
+        let b = Buffer::Virtual { elem: Scalar::Float, len: 2, seed: 0 };
         b.load_f64(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn virtual_int_out_of_bounds_load_panics() {
+        let b = Buffer::Virtual { elem: Scalar::Int, len: 2, seed: 0 };
+        b.load_i64(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn virtual_int_out_of_bounds_store_panics() {
+        let mut b = Buffer::Virtual { elem: Scalar::Int, len: 2, seed: 0 };
+        b.store_i64(2, 1);
     }
 }

@@ -266,6 +266,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Buffer;
+    use clc::Scalar;
 
     fn gesummv_launch(mem: &mut Memory, n: usize) -> (Kernel, Vec<ArgValue>, NdRange) {
         let kernel = clc::compile(
@@ -300,6 +302,56 @@ mod tests {
             ArgValue::Int(n as i64),
         ];
         (kernel, args, NdRange::d1(n, 256))
+    }
+
+    #[test]
+    fn functional_run_rejects_stores_to_virtual_buffers() {
+        let engine = Engine::kaveri();
+        for elem in [Scalar::Float, Scalar::Int] {
+            let ty = if elem.is_float() { "float" } else { "int" };
+            let src = format!(
+                "__kernel void k(__global {ty}* OUT, __global {ty}* IN) {{
+                    int i = get_global_id(0);
+                    OUT[i] = IN[i] + 1;
+                }}"
+            );
+            let kernel = clc::compile(&src).unwrap().kernels.remove(0);
+            let nd = NdRange::d1(64, 16);
+            let mut mem = Memory::new();
+            // A virtual input is fine: its loads are deterministic.
+            let input = mem.alloc(Buffer::Virtual { elem, len: 64, seed: 1 });
+            let real = if elem.is_float() {
+                Buffer::F32(vec![0.0; 64])
+            } else {
+                Buffer::I32(vec![0; 64])
+            };
+            let virt = Buffer::Virtual { elem, len: 64, seed: 2 };
+            for (out, ok) in [(real, true), (virt, false)] {
+                let out = mem.alloc(out);
+                let args = [ArgValue::Buffer(out), ArgValue::Buffer(input)];
+                let spec = LaunchSpec { kernel: &kernel, args: &args, nd };
+                // A virtual output would silently drop every store.
+                let run = engine.run_functional(spec, &mut mem);
+                assert_eq!(run.is_ok(), ok, "{ty}: {run:?}");
+                if let Err(err) = run {
+                    assert!(err.message.contains("virtual buffer"), "{ty}: {err}");
+                }
+                // Profiling drops the stores: it only records addresses.
+                engine.profile(spec, &mut mem).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn functional_run_rejects_atomics_on_virtual_buffers() {
+        let src = "__kernel void k(__global int* C) { atomic_inc(C); }";
+        let kernel = clc::compile(src).unwrap().kernels.remove(0);
+        let mut mem = Memory::new();
+        let c = mem.alloc_virtual_i32(1, 3);
+        let args = [ArgValue::Buffer(c)];
+        let spec = LaunchSpec { kernel: &kernel, args: &args, nd: NdRange::d1(16, 16) };
+        let err = Engine::kaveri().run_functional(spec, &mut mem).unwrap_err();
+        assert!(err.message.contains("virtual buffer"), "{err}");
     }
 
     #[test]

@@ -40,6 +40,15 @@ impl ExecError {
     pub fn new(message: impl Into<String>, span: Span) -> Self {
         ExecError { message: message.into(), span }
     }
+
+    /// A functional ([`Mode::Full`]) write to a virtual buffer: the buffer
+    /// has no storage, so the value would be lost without a trace.
+    pub fn virtual_store(index: i64, span: Span) -> Self {
+        ExecError::new(
+            format!("store index {} targets a virtual buffer in a functional run", index),
+            span,
+        )
+    }
 }
 
 impl fmt::Display for ExecError {

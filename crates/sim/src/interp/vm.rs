@@ -173,6 +173,9 @@ impl<'a, T: Tracer> Vm<'a, T> {
                             self.tracer.store(site, buf, i, elem.size_bytes());
                             if self.mode == Mode::Full {
                                 let b = self.mem.get_mut(buf);
+                                if b.is_virtual() {
+                                    return Err(ExecError::virtual_store(i, span));
+                                }
                                 if elem.is_float() {
                                     b.store_f64(i as usize, value.as_f32() as f64);
                                 } else {
@@ -314,6 +317,9 @@ impl<'a, T: Tracer> Vm<'a, T> {
                             let i = offset as usize;
                             if i >= b.len() {
                                 return Err(ExecError::new("atomic index out of bounds", span));
+                            }
+                            if self.mode == Mode::Full && b.is_virtual() {
+                                return Err(ExecError::virtual_store(i as i64, span));
                             }
                             let old = b.load_i64(i);
                             // Atomics take effect even in profile mode: they

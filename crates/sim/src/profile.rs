@@ -71,7 +71,7 @@ impl AccessClass {
 }
 
 /// Aggregated behaviour of one static memory-access site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteProfile {
     /// Intra-item access pattern.
     pub class: AccessClass,
@@ -96,7 +96,7 @@ impl SiteProfile {
 }
 
 /// The complete dynamic characterization of one kernel launch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Mean floating-point operations per work-item.
     pub flops_per_item: f64,

@@ -1,9 +1,11 @@
 //! Seeded input-data generation.
 //!
 //! Uses a hand-rolled splitmix64/xorshift generator rather than `rand`'s
-//! default ChaCha: input generation touches tens of millions of elements
-//! per workload and must stay cheap even in debug builds; cryptographic
-//! quality is irrelevant for synthetic matrices.
+//! default ChaCha: the real arrays left (CSR structures, index arrays of up
+//! to 4 M elements) must stay cheap to generate even in debug builds;
+//! cryptographic quality is irrelevant for synthetic inputs. Large matrices
+//! whose values never reach an address are virtual instead (see
+//! `sim::Buffer::Virtual`).
 
 /// A minimal, fast, seedable PRNG (xorshift64* seeded via splitmix64).
 #[derive(Debug, Clone)]
@@ -52,11 +54,19 @@ pub fn random_f32(n: usize, seed: u64) -> Vec<f32> {
     (0..n).map(|_| rng.next_f32()).collect()
 }
 
-/// Deterministic vector of `n` ints in `[0, bound)`.
+/// Deterministic vector of `n` ints in `[0, bound)`, the same sequence as
+/// `n` calls of [`FastRng::next_below`]. A power-of-two `bound` masks
+/// instead of dividing, which gives the same values.
 pub fn random_i32(n: usize, bound: i32, seed: u64) -> Vec<i32> {
     assert!(bound > 0);
     let mut rng = FastRng::new(seed);
-    (0..n).map(|_| rng.next_below(bound as u64) as i32).collect()
+    let bound = bound as u64;
+    if bound.is_power_of_two() {
+        let mask = bound - 1;
+        (0..n).map(|_| (rng.next_u64() & mask) as i32).collect()
+    } else {
+        (0..n).map(|_| rng.next_below(bound) as i32).collect()
+    }
 }
 
 /// A CSR sparse-matrix structure (values omitted where only the pattern
@@ -123,6 +133,16 @@ mod tests {
         assert_eq!(random_f32(16, 3), random_f32(16, 3));
         assert_ne!(random_f32(16, 3), random_f32(16, 4));
         assert_eq!(random_i32(16, 100, 5), random_i32(16, 100, 5));
+    }
+
+    #[test]
+    fn random_i32_matches_next_below_for_every_bound() {
+        for bound in [1, 2, 1 << 20, 1 << 22, 1000] {
+            let mut rng = FastRng::new(99);
+            let expected: Vec<i32> =
+                (0..4096).map(|_| rng.next_below(bound as u64) as i32).collect();
+            assert_eq!(random_i32(4096, bound, 99), expected, "bound {}", bound);
+        }
     }
 
     #[test]

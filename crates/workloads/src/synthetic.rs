@@ -174,9 +174,10 @@ impl SyntheticParams {
     /// Matrix shape: `size` is the leading dimension (= the number of
     /// work-items, matching the paper's `global_size` feature); the
     /// trailing dimensions are small constants iterated by kernel loops.
-    /// Total elements = `size x 64` (4–16 M elements, 16–64 MB per float
-    /// matrix — large enough that no CPU cache holds a matrix, like the
-    /// paper's 1–2 s workloads).
+    /// Total elements = `size x 64` (1–4 M elements, 4–16 MB per matrix if
+    /// it were stored — large enough that no CPU cache holds a matrix,
+    /// like the paper's 1–2 s workloads; [`SyntheticParams::build`] keeps
+    /// the matrices virtual).
     pub fn shape(&self) -> Vec<usize> {
         let tail: &[usize] = match self.pattern.beta {
             3 => &[8, 8],
@@ -300,9 +301,11 @@ impl SyntheticParams {
         }
     }
 
-    /// Allocate inputs and bundle the launch. Float matrices are virtual
-    /// (storage-less) so the full grid fits in memory; integer matrices and
-    /// the indirection array are real.
+    /// Allocate inputs and bundle the launch. OUT and every term matrix
+    /// are virtual (storage-less) of either dtype: the kernel only sums
+    /// their values into OUT, so no value reaches an address or a branch.
+    /// Only the `R` indirection array `IDX` is real, because its values are
+    /// the addresses the profile records.
     pub fn build(&self, mem: &mut Memory, seed: u64) -> BuiltKernel {
         let p = &self.pattern;
         let kinds = p.term_kinds();
@@ -312,7 +315,7 @@ impl SyntheticParams {
         let total = self.total_elems();
         let alloc_matrix = |mem: &mut Memory, salt: u64| match self.dtype {
             DType::F32 => mem.alloc_virtual_f32(total, seed ^ salt),
-            DType::I32 => mem.alloc_i32(data::random_i32(total, 1000, seed ^ salt)),
+            DType::I32 => mem.alloc_virtual_i32(total, seed ^ salt),
         };
 
         args.push(ArgValue::Buffer(alloc_matrix(mem, 0xC0)));
