@@ -60,18 +60,15 @@ pub fn workload_cv(
     for f in 0..folds {
         let lo = n * f / folds;
         let hi = n * (f + 1) / folds;
-        let test: Vec<usize> = order[lo..hi].to_vec();
-        let train_records: Vec<WorkloadRecord> = order[..lo]
-            .iter()
-            .chain(order[hi..].iter())
-            .map(|&i| records[i].clone())
-            .collect();
-        let dataset = dataset_from_records(&train_records, space);
+        let dataset = dataset_from_records(
+            order[..lo].iter().chain(&order[hi..]).map(|&i| &records[i]),
+            space,
+        );
         let t0 = Instant::now();
         let model = PerfModel::train(kind, &dataset, seed ^ f as u64);
         train_total += t0.elapsed().as_secs_f64();
 
-        for &i in &test {
+        for &i in &order[lo..hi] {
             let r = &records[i];
             let sel = model.select_config(
                 r.code,

@@ -57,9 +57,19 @@ impl PerfModel {
     }
 
     /// Load a model persisted with [`ml::io`] (e.g. by the `train_model`
-    /// experiment binary).
+    /// experiment binary). A model that reads past the end of a
+    /// [`FeatureVector`] row is rejected here rather than at a launch.
     pub fn load(path: &std::path::Path) -> Result<Self, String> {
         let (kind, model) = ml::io::load(path)?;
+        let needs = model.min_features();
+        if needs > FeatureVector::DIM {
+            return Err(format!(
+                "{}: model reads feature {} but feature rows have {}",
+                path.display(),
+                needs - 1,
+                FeatureVector::DIM
+            ));
+        }
         Ok(PerfModel { kind, model })
     }
 

@@ -99,6 +99,14 @@ impl Regressor for RandomForest {
         self.trees.iter().map(|t| t.predict(features)).sum::<f64>() / self.trees.len() as f64
     }
 
+    fn min_features(&self) -> usize {
+        self.trees
+            .iter()
+            .map(Regressor::min_features)
+            .max()
+            .unwrap_or(0)
+    }
+
     fn name(&self) -> &'static str {
         "RF"
     }

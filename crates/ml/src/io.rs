@@ -215,6 +215,8 @@ mod tests {
         assert!(from_string("dopia-model v1 XX\n").is_err());
         assert!(from_string("dopia-model v1 DT\nnodes 2\nL 1.0\n").is_err()); // truncated
         assert!(from_string("dopia-model v1 DT\nnodes 1\nS 0 1.0 5 6\n").is_err()); // bad child
+        assert!(from_string("dopia-model v1 DT\nnodes 1\nS 0 5e-1 0 0\n").is_err()); // self loop
+        assert!(from_string("dopia-model v1 RF\ntrees 1\nnodes 2\nL 1\nS 0 5e-1 0 1\n").is_err());
         assert!(from_string("dopia-model v1 LIN\ncoeffs 1 2\nstats 0 1 0 1\n").is_err()); // shape
     }
 

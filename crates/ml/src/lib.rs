@@ -45,6 +45,14 @@ pub trait Regressor: Send + Sync {
         rows.iter().map(|r| self.predict(r)).collect()
     }
 
+    /// The shortest feature vector `predict` can read: one past the
+    /// highest feature index it looks up (0 when it looks none up by
+    /// index). Loaders check this once, so `predict`, which runs 44 times
+    /// per launch, needs no bounds check of its own.
+    fn min_features(&self) -> usize {
+        0
+    }
+
     /// Human-readable model family name.
     fn name(&self) -> &'static str;
 }

@@ -63,3 +63,61 @@ fn loaded_model_drives_the_runtime() {
         .unwrap();
     assert_eq!(run.report.cpu_groups + run.report.gpu_groups, built.nd.num_groups());
 }
+
+/// Two corrupt tree models per family: a split whose child points back at
+/// itself (inference would never reach a leaf) and a split on feature 40,
+/// past the end of an 11-feature row (inference would index out of bounds).
+fn corrupt_tree_models() -> [(ModelKind, String, String); 2] {
+    let backward = "nodes 1\nS 0 5e-1 0 0\n";
+    let wide = "nodes 3\nS 40 5e-1 1 2\nL 1\nL 2\n";
+    let tree = |body: &str| format!("dopia-model v1 DT\n{body}");
+    let forest = |body: &str| format!("dopia-model v1 RF\ntrees 2\nnodes 1\nL 1\n{body}");
+    [
+        (ModelKind::Dt, tree(backward), tree(wide)),
+        (ModelKind::Rf, forest(backward), forest(wide)),
+    ]
+}
+
+#[test]
+fn corrupt_tree_models_are_rejected_at_load() {
+    let dir = std::env::temp_dir().join("dopia_corrupt_models");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (kind, backward, wide) in corrupt_tree_models() {
+        let label = kind.label();
+        assert!(
+            ml::io::from_string(&backward).is_err(),
+            "{label}: backward child loaded"
+        );
+        // The model format knows no row width; the feature bound is the
+        // runtime's, checked by `PerfModel::load`.
+        let (_, model) = ml::io::from_string(&wide).unwrap();
+        assert_eq!(model.min_features(), 41, "{label}");
+        for (what, text) in [("backward", backward), ("wide", wide)] {
+            let path = dir.join(format!("{label}_{what}.model"));
+            std::fs::write(&path, text).unwrap();
+            assert!(
+                PerfModel::load(&path).is_err(),
+                "{label}: {what} model loaded"
+            );
+        }
+    }
+}
+
+#[test]
+fn committed_models_load() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/models");
+    let mut loaded = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "model") {
+            PerfModel::load(&path).unwrap_or_else(|e| panic!("{e}"));
+            loaded += 1;
+        }
+    }
+    assert_eq!(
+        loaded,
+        6,
+        "expected the six committed models in {}",
+        dir.display()
+    );
+}
