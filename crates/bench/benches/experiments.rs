@@ -62,7 +62,7 @@ fn bench_fig03_sweep(c: &mut Criterion) {
                             Schedule::Dynamic { chunk_divisor: 10 },
                             true,
                         )
-                        .mem_requests
+                        .mem_requests()
                 })
                 .sum::<f64>()
         })
@@ -78,7 +78,8 @@ fn bench_fig09_distribution(c: &mut Criterion) {
     c.bench_function("fig09_one_workload_all_modes", |b| {
         b.iter(|| {
             let stat = baselines::best_static_split(&engine, &profile, &built.nd);
-            let dynamic = baselines::dynamic_all(&engine, &profile, &built.nd);
+            let dynamic =
+                baselines::simulate_baseline(&engine, &profile, &built.nd, Baseline::All);
             let cpu = baselines::simulate_baseline(&engine, &profile, &built.nd, Baseline::Cpu);
             stat.report.time_s + dynamic.time_s + cpu.time_s
         })

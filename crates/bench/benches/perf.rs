@@ -13,7 +13,8 @@ use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
 use ml::ModelKind;
-use sim::{Engine, Memory, Schedule};
+use sim::des::run_des_exact;
+use sim::{Engine, FaultPlan, Memory, Schedule};
 
 fn profiled_gesummv(engine: &Engine, n: usize) -> (sim::KernelProfile, sim::NdRange) {
     let mut mem = Memory::new();
@@ -25,10 +26,7 @@ fn profiled_gesummv(engine: &Engine, n: usize) -> (sim::KernelProfile, sim::NdRa
 /// The 44-config simulation sweep, fast path vs exact event loop. This is
 /// the inner loop of both training-data generation and the oracle.
 fn bench_des_sweep(c: &mut Criterion) {
-    let mut fast = Engine::kaveri();
-    fast.exact_des_only = false;
-    let mut exact = fast.clone();
-    exact.exact_des_only = true;
+    let fast = Engine::kaveri();
     let space = config_space(&fast.platform);
     let (profile, nd) = profiled_gesummv(&fast, 16384);
     let sched = Schedule::Dynamic { chunk_divisor: 10 };
@@ -49,9 +47,9 @@ fn bench_des_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for point in &space {
-                acc += exact
-                    .simulate(std::hint::black_box(&profile), &nd, point.dop(), sched, true)
-                    .time_s;
+                let profile = std::hint::black_box(&profile);
+                let input = fast.des_input(profile, &nd, point.dop(), sched, true);
+                acc += run_des_exact(&input, &FaultPlan::none(), None).time_s;
             }
             acc
         })
@@ -102,14 +100,11 @@ fn bench_enqueue_latency(c: &mut Criterion) {
 /// plus the DES fast path against the exact, uncached combination.
 /// Workload construction is hoisted out of the timed iterations; the
 /// `fast_path` variant keeps its cache warm across iterations (how repeated
-/// sweeps run after this PR) while `exact_des` clears it per pass,
-/// reproducing the pre-PR re-profile-everything behaviour.
+/// sweeps run) while `exact_des` re-profiles every workload per pass and
+/// runs the exact event loop ([`bench_support::exact_sweep`]).
 fn bench_training_sweep(c: &mut Criterion) {
-    let mut fast = Engine::kaveri();
-    fast.exact_des_only = false;
-    let mut exact = fast.clone();
-    exact.exact_des_only = true;
-    let space = config_space(&fast.platform);
+    let engine = Engine::kaveri();
+    let space = config_space(&engine.platform);
     let grid: Vec<workloads::synthetic::SyntheticParams> =
         workloads::synthetic::training_grid().into_iter().step_by(17).collect();
     let opts = TrainingOptions { threads: 1, ..TrainingOptions::default() };
@@ -125,26 +120,28 @@ fn bench_training_sweep(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("training_sweep_72_workloads");
     group.sample_size(10);
-    for (label, engine, keep_cache) in
-        [("fast_path", &fast, true), ("exact_des", &exact, false)]
-    {
-        let mut cache = DecisionCache::new(grid.len().max(1));
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                if !keep_cache {
-                    cache.clear();
-                }
-                let mut total = 0.0;
-                for (mem, built) in built.iter_mut() {
-                    let record =
-                        measure_workload_cached(engine, built, mem, &space, &opts, &mut cache)
-                            .unwrap();
-                    total += record.times[record.best_index];
-                }
-                total
-            })
-        });
-    }
+    let mut cache = DecisionCache::new(grid.len().max(1));
+    group.bench_function("fast_path", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for (mem, built) in built.iter_mut() {
+                let record =
+                    measure_workload_cached(&engine, built, mem, &space, &opts, &mut cache)
+                        .unwrap();
+                total += record.times[record.best_index];
+            }
+            total
+        })
+    });
+    group.bench_function("exact_des", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for (mem, built) in built.iter_mut() {
+                total += bench_support::exact_sweep(&engine, built, mem, &space, &opts);
+            }
+            total
+        })
+    });
     group.finish();
 }
 

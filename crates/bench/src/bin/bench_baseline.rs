@@ -1,9 +1,9 @@
 //! Measure the repo's headline performance numbers and emit
 //! `results/BENCH_baseline.json`: the tiny_training_set-scale sweep with
-//! the DES fast path on vs forced-exact (acceptance floor: ≥ 5×), the
-//! cold-profile cost on the bytecode VM vs the tree-walking reference
-//! interpreter (acceptance floor: ≥ 3×), single enqueue latency cold vs
-//! cache-hit, and the raw 44-config DES sweep.
+//! the DES fast path and profile cache vs the uncached exact event loop
+//! (acceptance floor: ≥ 5×), the cold-profile cost on the bytecode VM vs
+//! the tree-walking reference interpreter (acceptance floor: ≥ 3×), single
+//! enqueue latency cold vs cache-hit, and the raw 44-config DES sweep.
 //!
 //! ```sh
 //! cargo run --release -p dopia-bench --bin bench_baseline
@@ -13,7 +13,8 @@ use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
 use ml::ModelKind;
-use sim::{Engine, Memory, Schedule};
+use sim::des::run_des_exact;
+use sim::{Engine, FaultPlan, Memory, Schedule};
 use std::time::Instant;
 
 /// Median-of-`reps` wall time of `f`, in seconds.
@@ -32,15 +33,16 @@ fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 /// One full pass over the tiny (72-workload) training grid, timed per
 /// pass. Workload construction (buffer allocation + data generation) is
 /// hoisted out of the timed region — it is identical in both
-/// configurations and is not what this PR accelerates.
+/// configurations and is not what this compares.
 ///
-/// With `cached` the profile cache persists across passes, so every pass
-/// after the first skips sampled-interpretation profiling — exactly how
-/// repeated sweeps (benchmark reps, cross-validation folds) run after this
-/// PR. Without it the cache is cleared per pass, reproducing the pre-PR
-/// behaviour of re-profiling every workload on every pass. The median of
-/// five passes is reported, so the cached figure is a warm pass.
-fn sweep_tiny_grid(engine: &Engine, cached: bool) -> f64 {
+/// Without `exact` each workload goes through `measure_workload_cached`:
+/// the profile cache persists across passes, so every pass after the first
+/// skips sampled-interpretation profiling, and the DES may take its fast
+/// path — how repeated sweeps (benchmark reps, cross-validation folds)
+/// run. With `exact` every pass re-profiles every workload and runs the
+/// exact event loop ([`bench_support::exact_sweep`]). The median of five
+/// passes is reported, so the cached figure is a warm pass.
+fn sweep_tiny_grid(engine: &Engine, exact: bool) -> f64 {
     let space = config_space(&engine.platform);
     let grid: Vec<workloads::synthetic::SyntheticParams> =
         workloads::synthetic::training_grid().into_iter().step_by(17).collect();
@@ -56,30 +58,30 @@ fn sweep_tiny_grid(engine: &Engine, cached: bool) -> f64 {
         .collect();
     let mut cache = DecisionCache::new(grid.len().max(1));
     time_median(5, || {
-        if !cached {
-            cache.clear();
-        }
         for (mem, built) in built.iter_mut() {
-            let record = measure_workload_cached(engine, built, mem, &space, &opts, &mut cache)
-                .unwrap();
-            assert!(record.times[record.best_index] > 0.0);
+            let best = if exact {
+                bench_support::exact_sweep(engine, built, mem, &space, &opts)
+            } else {
+                let record =
+                    measure_workload_cached(engine, built, mem, &space, &opts, &mut cache)
+                        .unwrap();
+                record.times[record.best_index]
+            };
+            assert!(best > 0.0);
         }
     })
 }
 
 fn main() {
-    let mut fast = Engine::kaveri();
-    fast.exact_des_only = false;
-    let mut exact = fast.clone();
-    exact.exact_des_only = true;
+    let fast = Engine::kaveri();
 
     // 1. Training sweep at tiny_training_set scale (72 workloads x 44):
-    // this PR's combination (profile cache + DES fast path) against the
-    // pre-PR behaviour (re-profile every pass + exact event loop).
+    // profile cache + DES fast path against re-profiling every pass + the
+    // exact event loop.
     println!("sweeping 72 workloads x 44 configs (fast path + profile cache)...");
-    let sweep_fast_s = sweep_tiny_grid(&fast, true);
+    let sweep_fast_s = sweep_tiny_grid(&fast, false);
     println!("sweeping 72 workloads x 44 configs (exact DES, uncached)...");
-    let sweep_exact_s = sweep_tiny_grid(&exact, false);
+    let sweep_exact_s = sweep_tiny_grid(&fast, true);
     let sweep_speedup = sweep_exact_s / sweep_fast_s;
     println!(
         "sweep: fast+cache {:.4}s  exact uncached {:.4}s  speedup {:.1}x",
@@ -99,7 +101,8 @@ fn main() {
     });
     let des_exact_s = time_median(9, || {
         for point in &space {
-            std::hint::black_box(exact.simulate(&profile, &built.nd, point.dop(), sched, true));
+            let input = fast.des_input(&profile, &built.nd, point.dop(), sched, true);
+            std::hint::black_box(run_des_exact(&input, &FaultPlan::none(), None));
         }
     });
     println!(

@@ -73,7 +73,8 @@ fn run_platform(engine: &Engine, csv: &mut CsvWriter) {
         let stat = baselines::best_static_split(engine, &profile, &built.nd).report.time_s;
         let cpu = baselines::simulate_baseline(engine, &profile, &built.nd, Baseline::Cpu).time_s;
         let gpu = baselines::simulate_baseline(engine, &profile, &built.nd, Baseline::Gpu).time_s;
-        let dynamic = baselines::dynamic_all(engine, &profile, &built.nd).time_s;
+        let dynamic =
+            baselines::simulate_baseline(engine, &profile, &built.nd, Baseline::All).time_s;
         ratios[0].push(cpu / stat);
         ratios[1].push(gpu / stat);
         ratios[2].push(1.0);

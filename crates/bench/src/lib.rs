@@ -20,11 +20,41 @@ pub mod cv;
 pub mod grid;
 pub mod stats;
 
-use sim::Engine;
+use dopia_core::configs::DopPoint;
+use dopia_core::features::extract_code_features;
+use dopia_core::TrainingOptions;
+use sim::{Engine, FaultPlan, Memory, Schedule};
+use workloads::BuiltKernel;
 
 /// The two evaluation platforms, in paper order.
 pub fn platforms() -> [Engine; 2] {
     [Engine::kaveri(), Engine::skylake()]
+}
+
+/// One uncached training-sweep pass over a built workload on the exact DES
+/// event loop: profile it, run every configuration through
+/// [`sim::des::run_des_exact`] on [`Engine::des_input`], extract the code
+/// features. The reference side of the sweep comparisons in
+/// `bench_baseline` and `benches/perf.rs`; returns the best simulated time.
+pub fn exact_sweep(
+    engine: &Engine,
+    built: &BuiltKernel,
+    mem: &mut Memory,
+    space: &[DopPoint],
+    opts: &TrainingOptions,
+) -> f64 {
+    let profile = engine.profile(built.spec(), mem).unwrap();
+    let schedule = Schedule::Dynamic { chunk_divisor: opts.chunk_divisor };
+    let best = space
+        .iter()
+        .map(|point| {
+            let dop = point.dop();
+            let input = engine.des_input(&profile, &built.nd, dop, schedule, opts.malleable);
+            sim::des::run_des_exact(&input, &FaultPlan::none(), None).time_s
+        })
+        .fold(f64::INFINITY, f64::min);
+    std::hint::black_box(extract_code_features(&built.kernel));
+    best
 }
 
 /// `DOPIA_GRID_STEP` (default 1).

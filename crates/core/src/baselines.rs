@@ -126,19 +126,6 @@ pub fn best_static_split(engine: &Engine, profile: &KernelProfile, nd: &NdRange)
     best
 }
 
-/// Dopia's dynamic distributor at full resources (for the Fig. 9
-/// comparison of dynamic vs static distribution).
-pub fn dynamic_all(engine: &Engine, profile: &KernelProfile, nd: &NdRange) -> SimReport {
-    let max = engine.platform.cpu.cores;
-    engine.simulate(
-        profile,
-        nd,
-        DopConfig { cpu_cores: max, gpu_frac: 1.0 },
-        Schedule::Dynamic { chunk_divisor: 10 },
-        false,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +172,7 @@ mod tests {
         let engine = Engine::kaveri();
         let (p, nd) = gesummv_profile(&engine, 16384);
         let stat = best_static_split(&engine, &p, &nd);
-        let dyn_r = dynamic_all(&engine, &p, &nd);
+        let dyn_r = simulate_baseline(&engine, &p, &nd, Baseline::All);
         // Dynamic distribution pays a tail penalty when the GPU over-claims
         // its fixed 1/10th chunk on a kernel where full GPU DoP thrashes
         // (the compromise the paper acknowledges in Section 7); it must

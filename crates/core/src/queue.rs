@@ -56,7 +56,7 @@ impl<'d> CommandQueue<'d> {
     /// call returns (the simulated clock advances by its total time).
     ///
     /// Transient errors (injected faults, busy devices) are retried up to
-    /// [`MAX_TRANSIENT_RETRIES`] times with exponential backoff; the
+    /// `MAX_TRANSIENT_RETRIES` times with exponential backoff; the
     /// backoff is simulated time added to the launch's `total_time_s`, and
     /// absorbed retries show up in the result's health counters. Permanent
     /// errors surface immediately.

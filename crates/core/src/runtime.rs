@@ -707,13 +707,14 @@ impl Dopia {
         let index = find_config(&self.space, 0, 8)
             .unwrap_or_else(|| nearest_config(&self.space, 0.0, 1.0));
         let point = self.space[index];
-        let report = self.engine.simulate_with_faults(
+        let report = self.engine.simulate_supervised(
             profile,
             &nd,
             point.dop(),
             Schedule::Static { cpu_fraction: 0.0 },
             false, // original kernel, not the malleable rewrite
             plan,
+            None,
         );
         let selection = Selection {
             index,

@@ -19,7 +19,7 @@
 //! 2. **Launch deadlines** — each launch of a known kernel class gets a
 //!    deadline of `deadline_factor x` its smoothed observed time; the DES
 //!    re-dispatches straggling chunks past the deadline onto the surviving
-//!    device (see `sim::des::run_des_supervised`).
+//!    device (see `sim::des::run_des`).
 //! 3. **Misprediction monitoring with model quarantine**
 //!    ([`MispredictionMonitor`]) — an EWMA of the relative error between
 //!    the model's predicted normalized performance and the measured one,
@@ -697,7 +697,6 @@ mod tests {
         let healthy = SimReport {
             time_s: 1e-3,
             dram_bytes: 0.0,
-            mem_requests: 0.0,
             cpu_groups: 32,
             gpu_groups: 32,
             cpu_busy_s: 0.0,
@@ -743,7 +742,6 @@ mod tests {
         let report = SimReport {
             time_s: 1e-3,
             dram_bytes: 0.0,
-            mem_requests: 0.0,
             cpu_groups: 0,
             gpu_groups: 0,
             cpu_busy_s: 0.0,
@@ -777,7 +775,6 @@ mod tests {
         let lost = SimReport {
             time_s: 1e-3,
             dram_bytes: 0.0,
-            mem_requests: 0.0,
             cpu_groups: 0,
             gpu_groups: 0,
             cpu_busy_s: 0.0,

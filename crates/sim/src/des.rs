@@ -64,9 +64,9 @@ pub struct DesInput {
     pub dram_bw_gbs: f64,
 }
 
-/// Result of a DES run.
+/// Result of a simulated launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesReport {
+pub struct SimReport {
     /// Simulated makespan in seconds.
     pub time_s: f64,
     /// Total DRAM traffic in bytes.
@@ -87,8 +87,8 @@ pub struct DesReport {
     /// `num_groups`.
     pub recovered_groups: usize,
     /// Work-groups reclaimed from a straggling dispatch by the launch
-    /// deadline (see [`run_des_supervised`]) and completed by a surviving
-    /// agent. Disjoint from the other buckets.
+    /// deadline (see [`run_des`]) and completed by a surviving agent.
+    /// Disjoint from the other buckets.
     pub redispatched_groups: usize,
     /// Work-groups no surviving agent could execute (every device dead).
     pub lost_groups: usize,
@@ -104,6 +104,13 @@ pub struct DesReport {
     /// Whether the GPU faulted during the run (hang or a missed launch
     /// deadline).
     pub gpu_faulted: bool,
+}
+
+impl SimReport {
+    /// DRAM line transfers (bytes / 64) — the paper's "memory requests".
+    pub fn mem_requests(&self) -> f64 {
+        self.dram_bytes / 64.0
+    }
 }
 
 /// Where a dispatch's work-groups came from: the original worklists, the
@@ -160,51 +167,57 @@ struct Agent {
     stall_at: Option<f64>,
 }
 
+impl Agent {
+    /// A fresh, idle agent. `hang_eligible`, `slowdown` and `stall_at` carry
+    /// the parts of the [`FaultPlan`] that target this agent.
+    fn new(
+        is_gpu: bool,
+        cost: GroupCost,
+        hang_eligible: bool,
+        slowdown: f64,
+        stall_at: Option<f64>,
+    ) -> Agent {
+        Agent {
+            is_gpu,
+            cost,
+            state: State::Idle,
+            groups_done: 0,
+            recovered_done: 0,
+            redispatched_done: 0,
+            busy_s: 0.0,
+            deadline_at: None,
+            launched: false,
+            dispatches: 0,
+            hang_eligible,
+            slowdown,
+            stall_at,
+        }
+    }
+}
+
 const EPS: f64 = 1e-15;
 
-/// Run the discrete-event simulation with no injected faults.
-///
-/// Dispatches to the batched fast path when [`fast_path_applies`]; the
-/// result honours the fast-path equivalence contract (identical group
-/// assignment, `time_s` within 1e-9 relative of [`run_des_exact`]).
-///
-/// # Panics
-/// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
-/// disabled with work remaining.
-pub fn run_des(input: &DesInput) -> DesReport {
-    run_des_with_faults(input, &FaultPlan::none())
-}
-
-/// Run the simulation under a [`FaultPlan`], taking the batched fast path
-/// whenever the plan cannot perturb the event loop (see
-/// [`fast_path_applies`]); otherwise falls back to
-/// [`run_des_exact_with_faults`].
-///
-/// # Panics
-/// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
-/// disabled with work remaining.
-pub fn run_des_with_faults(input: &DesInput, plan: &FaultPlan) -> DesReport {
-    run_des_supervised(input, plan, None)
-}
-
-/// Run the simulation under a [`FaultPlan`] with an optional per-dispatch
+/// Simulate one launch under a [`FaultPlan`] with an optional per-dispatch
 /// **launch deadline** (seconds, measured from the instant an agent claims
-/// work). A dispatch still pending when its deadline passes is treated as
-/// a straggler: its work-groups are reclaimed into a re-dispatch pool that
+/// work) — the one entry point every simulated launch goes through.
+///
+/// Takes the batched fast path when [`fast_path_applies`] and the fast
+/// makespan fits the deadline; the result then honours the fast-path
+/// equivalence contract (identical group assignment, `time_s` within 1e-9
+/// relative of [`run_des_exact`]). Otherwise runs [`run_des_exact`].
+///
+/// A dispatch still pending when its deadline passes is treated as a
+/// straggler: its work-groups are reclaimed into a re-dispatch pool that
 /// surviving agents drain after their own worklists — GPU stragglers land
 /// on the CPU pull worklist and vice versa — without waiting for the
 /// watchdog's hang-only reclaim. Completions of reclaimed groups are
-/// reported in [`DesReport::redispatched_groups`]. Non-finite or
+/// reported in [`SimReport::redispatched_groups`]. Non-finite or
 /// non-positive deadlines are ignored.
 ///
 /// # Panics
 /// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
 /// disabled with work remaining.
-pub fn run_des_supervised(
-    input: &DesInput,
-    plan: &FaultPlan,
-    deadline_s: Option<f64>,
-) -> DesReport {
+pub fn run_des(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> SimReport {
     let deadline_s = deadline_s.filter(|d| d.is_finite() && *d > 0.0);
     if fast_path_applies(input, plan) {
         let report = run_des_fast(input);
@@ -217,25 +230,21 @@ pub fn run_des_supervised(
             _ => return report,
         }
     }
-    run_des_exact_supervised(input, plan, deadline_s)
+    run_des_exact(input, plan, deadline_s)
 }
 
-/// Whether [`run_des_with_faults`] may use the batched fast path: the run
-/// must be fault-free (every group shares one unperturbed [`GroupCost`])
-/// and use a push schedule — [`Schedule::DynamicPull`]'s per-CU agents
-/// need the general event loop.
+/// Whether [`run_des`] may use the batched fast path: the run must be
+/// fault-free (every group shares one unperturbed [`GroupCost`]) and use a
+/// push schedule — [`Schedule::DynamicPull`]'s per-CU agents need the
+/// general event loop.
 pub fn fast_path_applies(input: &DesInput, plan: &FaultPlan) -> bool {
     !plan.affects_des() && !matches!(input.schedule, Schedule::DynamicPull)
 }
 
-/// Run the exact per-agent event loop with no injected faults. Kept
-/// public as the reference implementation the fast path is verified
-/// against (see `tests/perf_equivalence.rs`).
-pub fn run_des_exact(input: &DesInput) -> DesReport {
-    run_des_exact_with_faults(input, &FaultPlan::none())
-}
-
-/// Run the exact discrete-event simulation under a [`FaultPlan`].
+/// The exact per-agent event loop: the general case behind [`run_des`]
+/// (fault plans, `DynamicPull`, deadlines the fast makespan misses) and
+/// the reference implementation the fast path is verified against (see
+/// `tests/perf_equivalence.rs`). Takes the same arguments as [`run_des`].
 ///
 /// Recovery semantics: when an agent hangs (a GPU dispatch that never
 /// completes, or a CPU core stalling mid-group), a watchdog fires
@@ -243,125 +252,37 @@ pub fn run_des_exact(input: &DesInput) -> DesReport {
 /// agent's in-flight work-groups into a recovery pool and marks the agent
 /// dead. Surviving agents — whatever the schedule — drain the recovery
 /// pool after their own worklists; those completions are reported in
-/// [`DesReport::recovered_groups`]. Only when *every* agent is dead with
+/// [`SimReport::recovered_groups`]. Only when *every* agent is dead with
 /// work outstanding does the run give up, reporting the remainder in
-/// [`DesReport::lost_groups`].
+/// [`SimReport::lost_groups`].
 ///
 /// # Panics
 /// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
 /// disabled with work remaining.
-pub fn run_des_exact_with_faults(input: &DesInput, plan: &FaultPlan) -> DesReport {
-    run_des_exact_supervised(input, plan, None)
-}
-
-/// The exact event loop with an optional launch deadline — the
-/// general-case implementation behind [`run_des_supervised`].
-///
-/// # Panics
-/// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
-/// disabled with work remaining.
-pub fn run_des_exact_supervised(
-    input: &DesInput,
-    plan: &FaultPlan,
-    deadline_s: Option<f64>,
-) -> DesReport {
+pub fn run_des_exact(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> SimReport {
     let deadline_s = deadline_s.filter(|d| d.is_finite() && *d > 0.0);
-    assert!(
-        input.cpu_cores == 0 || input.cpu_cost.is_some(),
-        "cpu_cores > 0 requires cpu_cost"
-    );
-    assert!(
-        input.cpu_cores > 0 || input.gpu.is_some() || input.num_groups == 0,
-        "no device enabled"
-    );
-
-    // Split the worklist according to the schedule.
-    let (mut cpu_pool, mut gpu_pool, shared) = match input.schedule {
-        Schedule::Dynamic { .. } | Schedule::DynamicPull => (0usize, 0usize, input.num_groups),
-        Schedule::Static { cpu_fraction } => {
-            let f = cpu_fraction.clamp(0.0, 1.0);
-            let mut cpu = (input.num_groups as f64 * f).round() as usize;
-            if input.gpu.is_none() {
-                cpu = input.num_groups;
-            }
-            if input.cpu_cores == 0 {
-                cpu = 0;
-            }
-            (cpu, input.num_groups - cpu, 0usize)
-        }
-    };
+    check_input(input);
+    let (mut cpu_pool, mut gpu_pool, shared) = split_worklist(input);
     let mut shared_pool = shared;
-
+    let gpu_chunk = gpu_chunk(input, gpu_pool);
     let per_cu_pull = matches!(input.schedule, Schedule::DynamicPull);
-    let gpu_chunk = match input.schedule {
-        Schedule::Dynamic { chunk_divisor } => {
-            (input.num_groups / chunk_divisor.max(1)).max(1)
-        }
-        // Pull-based: every CU is its own agent pulling one group at a
-        // time off the shared worklist.
-        Schedule::DynamicPull => 1,
-        Schedule::Static { .. } => gpu_pool.max(1),
-    };
 
     let watchdog_s = plan.watchdog_timeout();
-    let mut agents: Vec<Agent> = Vec::new();
-    for core in 0..input.cpu_cores {
-        agents.push(Agent {
-            is_gpu: false,
-            cost: input.cpu_cost.unwrap(),
-            state: State::Idle,
-            groups_done: 0,
-            recovered_done: 0,
-            redispatched_done: 0,
-            deadline_at: None,
-            busy_s: 0.0,
-            launched: false,
-            dispatches: 0,
-            hang_eligible: false,
-            slowdown: plan.slowdown_for(core),
-            stall_at: plan.stall_for(core),
-        });
-    }
-    let gpu_index = agents.len();
+    let mut agents: Vec<Agent> = (0..input.cpu_cores)
+        .map(|core| {
+            let cost = input.cpu_cost.unwrap();
+            Agent::new(false, cost, false, plan.slowdown_for(core), plan.stall_for(core))
+        })
+        .collect();
     if let Some(g) = input.gpu {
         if per_cu_pull {
             // One agent per CU, each owning an equal share of the device's
             // bandwidth ceiling (the water-filling redistributes slack).
             let mut cost = g.cost;
             cost.bw_cap_gbs /= g.cus as f64;
-            for cu in 0..g.cus {
-                agents.push(Agent {
-                    is_gpu: true,
-                    cost,
-                    state: State::Idle,
-                    groups_done: 0,
-                    recovered_done: 0,
-            redispatched_done: 0,
-            deadline_at: None,
-                    busy_s: 0.0,
-                    launched: false,
-                    dispatches: 0,
-                    hang_eligible: cu == 0,
-                    slowdown: 1.0,
-                    stall_at: None,
-                });
-            }
+            agents.extend((0..g.cus).map(|cu| Agent::new(true, cost, cu == 0, 1.0, None)));
         } else {
-            agents.push(Agent {
-                is_gpu: true,
-                cost: g.cost,
-                state: State::Idle,
-                groups_done: 0,
-                recovered_done: 0,
-            redispatched_done: 0,
-            deadline_at: None,
-                busy_s: 0.0,
-                launched: false,
-                dispatches: 0,
-                hang_eligible: true,
-                slowdown: 1.0,
-                stall_at: None,
-            });
+            agents.push(Agent::new(true, g.cost, true, 1.0, None));
         }
     }
 
@@ -373,6 +294,7 @@ pub fn run_des_exact_supervised(
     let mut degraded = false;
     let mut cpu_faulted = false;
     let mut gpu_faulted = false;
+    let total_bw = input.dram_bw_gbs * 1e9;
     // Scratch buffers reused across events (launches can reach millions of
     // work-groups; per-event allocation would dominate).
     let mut caps: Vec<(usize, f64)> = Vec::with_capacity(agents.len());
@@ -453,7 +375,7 @@ pub fn run_des_exact_supervised(
         // 1. Hand out work to idle agents. `Done` agents are revivable:
         //    watchdog reclaims can refill the recovery pool after an agent
         //    ran out of first-hand work.
-        for (i, agent) in agents.iter_mut().enumerate() {
+        for agent in agents.iter_mut() {
             if !matches!(agent.state, State::Idle | State::Done) {
                 continue;
             }
@@ -493,7 +415,6 @@ pub fn run_des_exact_supervised(
                 agent.launched = true;
                 agent.state =
                     State::Latency { remaining_s: latency, pending_groups: take, source };
-                let _ = i;
             } else {
                 let pool = if shared > 0 { &mut shared_pool } else { &mut cpu_pool };
                 let (pool, source) = if *pool > 0 {
@@ -518,9 +439,6 @@ pub fn run_des_exact_supervised(
                 dram_bytes += agent.cost.dram_bytes;
             }
         }
-        // Promote GPU out of latency into busy immediately if latency hit 0
-        // handled below in the advance step.
-
         // 2. Check termination: no agent holds work (hung agents hold
         //    theirs until the watchdog reclaims it).
         if agents
@@ -536,21 +454,11 @@ pub fn run_des_exact_supervised(
         for (i, a) in agents.iter().enumerate() {
             if let State::Busy { rem_bytes, .. } = a.state {
                 if rem_bytes > EPS {
-                    caps.push((i, a.cost.bw_cap_gbs * a.cost.dram_efficiency * 1e9));
+                    caps.push((i, bw_cap(&a.cost)));
                 }
             }
         }
-        caps.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        rates.fill(0.0);
-        let mut remaining_bw = input.dram_bw_gbs * 1e9;
-        let mut left = caps.len();
-        for &(i, cap) in &caps {
-            let fair = remaining_bw / left as f64;
-            let r = cap.min(fair);
-            rates[i] = r;
-            remaining_bw -= r;
-            left -= 1;
-        }
+        water_fill(&mut caps, total_bw, &mut rates);
 
         // 4. Time to next event: a completion, a watchdog deadline, or a
         //    pending injected stall.
@@ -651,9 +559,8 @@ pub fn run_des_exact_supervised(
     if lost_groups > 0 {
         degraded = true;
     }
-    let _ = gpu_index;
 
-    DesReport {
+    SimReport {
         time_s: time,
         dram_bytes,
         cpu_groups,
@@ -701,51 +608,20 @@ enum FastGpu {
 /// exactly; times agree to within accumulated rounding (~1e-12 relative,
 /// contract 1e-9) because the exact loop resolves floating-point residue
 /// in extra micro-events the batch folds away.
-fn run_des_fast(input: &DesInput) -> DesReport {
-    assert!(
-        input.cpu_cores == 0 || input.cpu_cost.is_some(),
-        "cpu_cores > 0 requires cpu_cost"
-    );
-    assert!(
-        input.cpu_cores > 0 || input.gpu.is_some() || input.num_groups == 0,
-        "no device enabled"
-    );
-
-    // Worklist split: identical to the exact path.
-    let (mut cpu_pool, mut gpu_pool, shared) = match input.schedule {
-        Schedule::Dynamic { .. } => (0usize, 0usize, input.num_groups),
-        Schedule::Static { cpu_fraction } => {
-            let f = cpu_fraction.clamp(0.0, 1.0);
-            let mut cpu = (input.num_groups as f64 * f).round() as usize;
-            if input.gpu.is_none() {
-                cpu = input.num_groups;
-            }
-            if input.cpu_cores == 0 {
-                cpu = 0;
-            }
-            (cpu, input.num_groups - cpu, 0usize)
-        }
-        Schedule::DynamicPull => unreachable!("pull mode always takes the exact path"),
-    };
+fn run_des_fast(input: &DesInput) -> SimReport {
+    check_input(input);
+    let (mut cpu_pool, mut gpu_pool, shared) = split_worklist(input);
     let mut shared_pool = shared;
-
-    let gpu_chunk = match input.schedule {
-        Schedule::Dynamic { chunk_divisor } => {
-            (input.num_groups / chunk_divisor.max(1)).max(1)
-        }
-        Schedule::Static { .. } => gpu_pool.max(1),
-        Schedule::DynamicPull => unreachable!(),
-    };
+    let gpu_chunk = gpu_chunk(input, gpu_pool);
 
     let total_bw = input.dram_bw_gbs * 1e9;
-    let cpu_cap = input
-        .cpu_cost
-        .map(|c| c.bw_cap_gbs * c.dram_efficiency * 1e9)
-        .unwrap_or(0.0);
-    let gpu_cap = input
-        .gpu
-        .map(|g| g.cost.bw_cap_gbs * g.cost.dram_efficiency * 1e9)
-        .unwrap_or(0.0);
+    let cpu_cap = input.cpu_cost.as_ref().map_or(0.0, bw_cap);
+    let gpu_cap = input.gpu.as_ref().map_or(0.0, |g| bw_cap(&g.cost));
+    // Water-fill scratch, reused across events: slots `0..cpu_cores` are
+    // the cores of the current round, slot `cpu_cores` is the GPU.
+    let gpu_slot = input.cpu_cores;
+    let mut caps: Vec<(usize, f64)> = Vec::with_capacity(gpu_slot + 1);
+    let mut rates = vec![0.0f64; gpu_slot + 1];
 
     let mut time = 0.0f64;
     let mut dram_bytes = 0.0f64;
@@ -803,39 +679,23 @@ fn run_des_fast(input: &DesInput) -> DesReport {
         }
 
         // 3. Water-fill, replicating the exact path's arithmetic: caps are
-        //    pushed cores-first then GPU, stably sorted ascending, and the
-        //    shared bandwidth is dealt out fair-share-capped in that order
-        //    (equal caps provably receive equal rates).
+        //    pushed cores-first then GPU and dealt out by the same
+        //    `water_fill`. The cores' caps are equal, so they stay in push
+        //    order after the stable sort and the last one holds the rate
+        //    the batch applies to every core.
         let cpu_mem_n = match &cpu_run {
             Some(b) if b.rem_bytes > EPS => b.claiming,
             _ => 0,
         };
         let gpu_mem = matches!(&gpu_state, FastGpu::Busy { rem_bytes, .. } if *rem_bytes > EPS);
-        let (r_cpu, r_gpu) = {
-            let mut caps: Vec<(bool, f64)> = Vec::with_capacity(cpu_mem_n + 1);
-            for _ in 0..cpu_mem_n {
-                caps.push((false, cpu_cap));
-            }
-            if gpu_mem {
-                caps.push((true, gpu_cap));
-            }
-            caps.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            let mut remaining_bw = total_bw;
-            let mut left = caps.len();
-            let (mut rc, mut rg) = (0.0f64, 0.0f64);
-            for &(is_gpu, cap) in &caps {
-                let fair = remaining_bw / left as f64;
-                let r = cap.min(fair);
-                if is_gpu {
-                    rg = r;
-                } else {
-                    rc = r;
-                }
-                remaining_bw -= r;
-                left -= 1;
-            }
-            (rc, rg)
-        };
+        caps.clear();
+        caps.extend((0..cpu_mem_n).map(|i| (i, cpu_cap)));
+        if gpu_mem {
+            caps.push((gpu_slot, gpu_cap));
+        }
+        water_fill(&mut caps, total_bw, &mut rates);
+        let r_cpu = cpu_mem_n.checked_sub(1).map_or(0.0, |last| rates[last]);
+        let r_gpu = rates[gpu_slot];
 
         // 4a. Closed-form CPU multi-round batch. While the GPU's state (and
         //     therefore the water-fill composition) cannot change, every
@@ -1050,7 +910,7 @@ fn run_des_fast(input: &DesInput) -> DesReport {
     }
 
     let lost_groups = cpu_pool + gpu_pool + shared_pool;
-    DesReport {
+    SimReport {
         time_s: time,
         dram_bytes,
         cpu_groups,
@@ -1064,6 +924,73 @@ fn run_des_fast(input: &DesInput) -> DesReport {
         degraded: lost_groups > 0,
         cpu_faulted: false,
         gpu_faulted: false,
+    }
+}
+
+/// Reject inputs no device can run: `cpu_cores > 0` without `cpu_cost`,
+/// or both devices disabled with work remaining.
+fn check_input(input: &DesInput) {
+    assert!(
+        input.cpu_cores == 0 || input.cpu_cost.is_some(),
+        "cpu_cores > 0 requires cpu_cost"
+    );
+    assert!(
+        input.cpu_cores > 0 || input.gpu.is_some() || input.num_groups == 0,
+        "no device enabled"
+    );
+}
+
+/// Split the worklist according to the schedule: `(cpu, gpu, shared)`
+/// pools. Dynamic schedules put every group in the shared pool; a static
+/// split hands each device its own.
+fn split_worklist(input: &DesInput) -> (usize, usize, usize) {
+    match input.schedule {
+        Schedule::Dynamic { .. } | Schedule::DynamicPull => (0, 0, input.num_groups),
+        Schedule::Static { cpu_fraction } => {
+            let f = cpu_fraction.clamp(0.0, 1.0);
+            let mut cpu = (input.num_groups as f64 * f).round() as usize;
+            if input.gpu.is_none() {
+                cpu = input.num_groups;
+            }
+            if input.cpu_cores == 0 {
+                cpu = 0;
+            }
+            (cpu, input.num_groups - cpu, 0)
+        }
+    }
+}
+
+/// Work-groups per GPU dispatch, given the GPU's own pool of a static split.
+fn gpu_chunk(input: &DesInput, gpu_pool: usize) -> usize {
+    match input.schedule {
+        Schedule::Dynamic { chunk_divisor } => (input.num_groups / chunk_divisor.max(1)).max(1),
+        // Pull-based: every CU is its own agent pulling one group at a
+        // time off the shared worklist.
+        Schedule::DynamicPull => 1,
+        Schedule::Static { .. } => gpu_pool.max(1),
+    }
+}
+
+/// An agent's own DRAM ceiling in bytes/s (GB/s == bytes/ns).
+fn bw_cap(cost: &GroupCost) -> f64 {
+    cost.bw_cap_gbs * cost.dram_efficiency * 1e9
+}
+
+/// Water-fill `total_bw` (bytes/s) across the memory-hungry agents in
+/// `caps` (`(slot, ceiling)` pairs): stably sorted by ceiling, ascending,
+/// each takes the smaller of its ceiling and a fair share of what is left.
+/// Writes each agent's rate to `rates[slot]` and zeroes every other slot.
+fn water_fill(caps: &mut [(usize, f64)], total_bw: f64, rates: &mut [f64]) {
+    caps.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    rates.fill(0.0);
+    let mut remaining_bw = total_bw;
+    let mut left = caps.len();
+    for &(slot, cap) in caps.iter() {
+        let fair = remaining_bw / left as f64;
+        let r = cap.min(fair);
+        rates[slot] = r;
+        remaining_bw -= r;
+        left -= 1;
     }
 }
 
@@ -1091,7 +1018,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 0.025).abs() < 1e-9, "time {}", r.time_s);
         assert_eq!(r.cpu_groups, 100);
         assert_eq!(r.gpu_groups, 0);
@@ -1109,7 +1036,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 0.01).abs() < 1e-6, "time {}", r.time_s);
         assert!((r.dram_bytes - 150e6).abs() < 1.0);
     }
@@ -1125,7 +1052,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 1.0).abs() < 1e-9, "time {}", r.time_s);
     }
 
@@ -1139,7 +1066,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 2.0).abs() < 1e-9);
     }
 
@@ -1160,7 +1087,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 0.02).abs() < 1e-9, "time {}", r.time_s);
         assert_eq!(r.gpu_groups, 100);
     }
@@ -1177,7 +1104,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 10.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 2.0).abs() < 1e-6, "time {}", r.time_s);
     }
 
@@ -1195,7 +1122,7 @@ mod tests {
             schedule: Schedule::Static { cpu_fraction: 0.5 },
             dram_bw_gbs: 10.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         // A: 2 GB at 2 GB/s = 1 s. B: 16 GB at 8 GB/s while A active...
         // after A finishes B gets min(20, 10) = 10 GB/s for the remaining
         // 8 GB: 1 s + 0.8 s = 1.8 s? B transfers 8 GB in the first second,
@@ -1215,7 +1142,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 110 }, // chunk = 1
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!(r.gpu_groups > 90, "gpu took {}", r.gpu_groups);
         // Makespan near the ideal 100 ms / (1 + 10) x ... ideal = 110
         // groups / (100 + 1000 groups/s) = 0.1 s.
@@ -1233,7 +1160,7 @@ mod tests {
             schedule: Schedule::Static { cpu_fraction: 0.5 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 0.55).abs() < 1e-6, "time {}", r.time_s); // 55 groups x 10 ms
     }
 
@@ -1253,7 +1180,7 @@ mod tests {
             schedule: Schedule::DynamicPull,
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert!((r.time_s - 2.5e-3).abs() < 1e-9, "time {}", r.time_s);
         assert_eq!(r.gpu_groups, 16);
     }
@@ -1261,7 +1188,7 @@ mod tests {
     #[test]
     fn dynamic_pull_pays_latency_once() {
         // Same as above but with many rounds: latency must not repeat.
-        let one_round = run_des(&DesInput {
+        let one_round = DesInput {
             num_groups: 8,
             cpu_cores: 0,
             cpu_cost: None,
@@ -1272,8 +1199,8 @@ mod tests {
             }),
             schedule: Schedule::DynamicPull,
             dram_bw_gbs: 15.0,
-        });
-        let four_rounds = run_des(&DesInput {
+        };
+        let four_rounds = DesInput {
             num_groups: 32,
             cpu_cores: 0,
             cpu_cost: None,
@@ -1284,7 +1211,9 @@ mod tests {
             }),
             schedule: Schedule::DynamicPull,
             dram_bw_gbs: 15.0,
-        });
+        };
+        let one_round = run_des(&one_round, &FaultPlan::none(), None);
+        let four_rounds = run_des(&four_rounds, &FaultPlan::none(), None);
         // 1 round: 1 ms latency + 1 ms compute; 4 rounds: 1 ms + 4 ms.
         assert!((one_round.time_s - 2e-3).abs() < 1e-9, "{}", one_round.time_s);
         assert!((four_rounds.time_s - 5e-3).abs() < 1e-9, "{}", four_rounds.time_s);
@@ -1308,8 +1237,12 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 4 }, // chunk = 10
             dram_bw_gbs: 15.0,
         };
-        let push = run_des(&base);
-        let pull = run_des(&DesInput { schedule: Schedule::DynamicPull, ..base });
+        let push = run_des(&base, &FaultPlan::none(), None);
+        let pull = run_des(
+            &DesInput { schedule: Schedule::DynamicPull, ..base },
+            &FaultPlan::none(),
+            None,
+        );
         assert!(
             pull.time_s < push.time_s,
             "pull {} should beat coarse push {}",
@@ -1328,13 +1261,13 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         assert_eq!(r.time_s, 0.0);
         assert_eq!(r.cpu_groups + r.gpu_groups, 0);
     }
 
     #[test]
-    fn empty_fault_plan_matches_plain_run() {
+    fn empty_fault_plan_runs_nominally() {
         let input = DesInput {
             num_groups: 64,
             cpu_cores: 4,
@@ -1343,9 +1276,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
-        let faulted = run_des_with_faults(&input, &FaultPlan::none());
-        assert_eq!(plain, faulted);
+        let plain = run_des(&input, &FaultPlan::none(), None);
         assert_eq!(plain.recovered_groups, 0);
         assert_eq!(plain.watchdog_fires, 0);
         assert!(!plain.degraded);
@@ -1372,14 +1303,14 @@ mod tests {
             watchdog_timeout_s: Some(5e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.gpu_groups, 10, "only the first dispatch completes");
         assert_eq!(r.recovered_groups, 10, "the hung chunk is re-executed");
         assert_eq!(r.cpu_groups + r.gpu_groups + r.recovered_groups, 100);
         assert_eq!(r.lost_groups, 0);
         assert_eq!(r.watchdog_fires, 1);
         assert!(r.degraded);
-        let healthy = run_des(&input);
+        let healthy = run_des(&input, &FaultPlan::none(), None);
         assert!(r.time_s > healthy.time_s, "recovery costs time");
     }
 
@@ -1398,7 +1329,7 @@ mod tests {
             watchdog_timeout_s: Some(2e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         // The GPU's single dispatch held its whole 20-group half.
         assert_eq!(r.gpu_groups, 0);
         assert_eq!(r.recovered_groups, 20);
@@ -1424,7 +1355,7 @@ mod tests {
             watchdog_timeout_s: Some(1e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.cpu_groups + r.gpu_groups + r.recovered_groups, 10);
         assert_eq!(r.recovered_groups, 1, "the in-flight group is re-run");
         assert_eq!(r.watchdog_fires, 1);
@@ -1441,12 +1372,12 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 100 },
             dram_bw_gbs: 15.0,
         };
-        let healthy = run_des(&input);
+        let healthy = run_des(&input, &FaultPlan::none(), None);
         let plan = FaultPlan {
             core_slowdowns: vec![CoreSlowdown { core: 0, factor: 4.0 }],
             ..FaultPlan::default()
         };
-        let slow = run_des_with_faults(&input, &plan);
+        let slow = run_des(&input, &plan, None);
         assert!(slow.cpu_groups < healthy.cpu_groups, "slow core claims less");
         assert_eq!(slow.cpu_groups + slow.gpu_groups, 100);
         assert!(!slow.degraded, "a slowdown loses time, not capacity");
@@ -1470,11 +1401,11 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 100 },
             dram_bw_gbs: 15.0,
         };
-        let dynamic = run_des_with_faults(&base, &plan);
+        let dynamic = run_des(&base, &plan, None);
         // The static split that was fair for healthy devices: half each.
         let static_input =
             DesInput { schedule: Schedule::Static { cpu_fraction: 0.5 }, ..base };
-        let stat = run_des_with_faults(&static_input, &plan);
+        let stat = run_des(&static_input, &plan, None);
         assert_eq!(dynamic.cpu_groups + dynamic.gpu_groups, 100);
         assert_eq!(stat.cpu_groups + stat.gpu_groups, 100);
         assert!(
@@ -1501,7 +1432,7 @@ mod tests {
             watchdog_timeout_s: Some(1e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.gpu_groups, 0);
         assert_eq!(r.lost_groups, 50, "hung chunk plus the untouched pool");
         assert!(r.degraded);
@@ -1525,7 +1456,7 @@ mod tests {
             core_stalls: vec![CoreStall { core: 1, at_s: 0.0 }],
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.cpu_groups, 20);
         assert_eq!(r.recovered_groups, 0);
         assert_eq!(r.watchdog_fires, 0);
@@ -1553,7 +1484,7 @@ mod tests {
             watchdog_timeout_s: Some(2e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.cpu_groups + r.gpu_groups + r.recovered_groups, 16);
         assert_eq!(r.recovered_groups, 1, "pull agents hold one group each");
         assert_eq!(r.watchdog_fires, 1);
@@ -1582,7 +1513,7 @@ mod tests {
             watchdog_timeout_s: Some(1.0),
             ..FaultPlan::default()
         };
-        let with_deadline = run_des_supervised(&input, &plan, Some(5e-3));
+        let with_deadline = run_des(&input, &plan, Some(5e-3));
         assert_eq!(with_deadline.watchdog_fires, 0, "deadline preempts the watchdog");
         assert_eq!(with_deadline.redispatched_groups, 10);
         assert_eq!(with_deadline.recovered_groups, 0);
@@ -1596,7 +1527,7 @@ mod tests {
         assert!(with_deadline.gpu_faulted);
         assert!(!with_deadline.cpu_faulted);
         assert!(with_deadline.degraded);
-        let watchdog_only = run_des_supervised(&input, &plan, None);
+        let watchdog_only = run_des(&input, &plan, None);
         assert!(
             with_deadline.time_s < watchdog_only.time_s,
             "deadline reclaim {} must beat the 1 s watchdog {}",
@@ -1621,7 +1552,7 @@ mod tests {
             core_slowdowns: vec![CoreSlowdown { core: 0, factor: 20.0 }],
             ..FaultPlan::default()
         };
-        let r = run_des_supervised(&input, &plan, Some(5e-3));
+        let r = run_des(&input, &plan, Some(5e-3));
         assert_eq!(r.redispatched_groups, 1, "the in-flight CPU group moves to the GPU");
         assert_eq!(
             r.cpu_groups + r.gpu_groups + r.recovered_groups + r.redispatched_groups,
@@ -1643,8 +1574,8 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
-        let supervised = run_des_supervised(&input, &FaultPlan::none(), Some(1e3));
+        let plain = run_des(&input, &FaultPlan::none(), None);
+        let supervised = run_des(&input, &FaultPlan::none(), Some(1e3));
         assert_eq!(plain, supervised);
         assert_eq!(supervised.redispatched_groups, 0);
         assert!(!supervised.cpu_faulted && !supervised.gpu_faulted);
@@ -1663,8 +1594,8 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
-        let supervised = run_des_supervised(&input, &FaultPlan::none(), Some(5e-3));
+        let plain = run_des(&input, &FaultPlan::none(), None);
+        let supervised = run_des(&input, &FaultPlan::none(), Some(5e-3));
         assert_eq!(supervised.redispatched_groups, 0);
         assert_eq!(supervised.cpu_groups, 100);
         assert!(!supervised.degraded);
@@ -1683,7 +1614,7 @@ mod tests {
             schedule: Schedule::Static { cpu_fraction: 0.0 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des_supervised(&input, &FaultPlan::none(), Some(1e-3));
+        let r = run_des(&input, &FaultPlan::none(), Some(1e-3));
         assert_eq!(r.lost_groups, 10);
         assert_eq!(r.redispatched_groups, 0);
         assert!(r.gpu_faulted);
@@ -1700,9 +1631,9 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
+        let plain = run_des(&input, &FaultPlan::none(), None);
         for bad in [0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
-            let r = run_des_supervised(&input, &FaultPlan::none(), Some(bad));
+            let r = run_des(&input, &FaultPlan::none(), Some(bad));
             assert_eq!(r, plain, "deadline {} must be ignored", bad);
         }
     }
@@ -1725,7 +1656,7 @@ mod tests {
                     schedule,
                     dram_bw_gbs: 15.0,
                 };
-                let r = run_des(&input);
+                let r = run_des(&input, &FaultPlan::none(), None);
                 assert_eq!(r.cpu_groups + r.gpu_groups, 64, "{:?}", input.schedule);
             }
         }

@@ -10,7 +10,7 @@ use crate::platform::PlatformConfig;
 use crate::profile::{self, KernelProfile};
 use clc::Kernel;
 
-pub use crate::des::Schedule;
+pub use crate::des::{Schedule, SimReport};
 
 /// A kernel launch: code + arguments + geometry.
 #[derive(Clone, Copy)]
@@ -39,58 +39,16 @@ impl DopConfig {
     }
 }
 
-/// Simulated execution outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimReport {
-    /// Kernel execution time in simulated seconds.
-    pub time_s: f64,
-    /// Total DRAM traffic in bytes.
-    pub dram_bytes: f64,
-    /// DRAM line transfers (bytes / 64) — the paper's "memory requests".
-    pub mem_requests: f64,
-    pub cpu_groups: usize,
-    pub gpu_groups: usize,
-    pub cpu_busy_s: f64,
-    pub gpu_busy_s: f64,
-    /// Work-groups the watchdog reclaimed from a faulted device and a
-    /// surviving device completed (disjoint from `cpu_groups` /
-    /// `gpu_groups`; zero on fault-free runs).
-    pub recovered_groups: usize,
-    /// Work-groups reclaimed from a straggling dispatch by the launch
-    /// deadline and completed by a surviving device (zero unless
-    /// [`Engine::simulate_supervised`] was given a deadline).
-    pub redispatched_groups: usize,
-    /// Work-groups no surviving device could execute (zero unless every
-    /// device died).
-    pub lost_groups: usize,
-    /// Times the watchdog reclaimed in-flight work.
-    pub watchdog_fires: u32,
-    /// Whether the launch survived a capacity-losing fault.
-    pub degraded: bool,
-    /// Whether a CPU core faulted (stall, hang, or missed deadline).
-    pub cpu_faulted: bool,
-    /// Whether the GPU faulted (hang or missed deadline).
-    pub gpu_faulted: bool,
-}
-
 /// The simulation engine for one platform.
 #[derive(Debug, Clone)]
 pub struct Engine {
     pub platform: PlatformConfig,
     pub consts: ModelConstants,
-    /// Force the exact per-agent event loop even when the batched DES
-    /// fast path applies. Used by the equivalence suite and the perf
-    /// benchmarks to measure both paths through the same API.
-    pub exact_des_only: bool,
 }
 
 impl Engine {
     pub fn new(platform: PlatformConfig) -> Self {
-        Engine {
-            platform,
-            consts: ModelConstants::default(),
-            exact_des_only: false,
-        }
+        Engine { platform, consts: ModelConstants::default() }
     }
 
     pub fn kaveri() -> Self {
@@ -134,7 +92,7 @@ impl Engine {
     }
 
     /// Simulate the timing of a launch under a DoP configuration and
-    /// scheduling policy.
+    /// scheduling policy, with no injected faults and no launch deadline.
     ///
     /// * `malleable` — whether the GPU runs Dopia's rewritten kernel (adds
     ///   the worklist overhead). Baselines (`CPU`, `GPU`, `ALL`) pass
@@ -151,30 +109,14 @@ impl Engine {
         schedule: Schedule,
         malleable: bool,
     ) -> SimReport {
-        self.simulate_with_faults(profile, nd, dop, schedule, malleable, &FaultPlan::none())
+        self.simulate_supervised(profile, nd, dop, schedule, malleable, &FaultPlan::none(), None)
     }
 
-    /// [`Engine::simulate`] under a [`FaultPlan`]: injected hangs, stalls
-    /// and slowdowns play out with watchdog-driven recovery (see
-    /// [`des::run_des_with_faults`]). An empty plan is bit-identical to
-    /// `simulate`.
-    pub fn simulate_with_faults(
-        &self,
-        profile: &KernelProfile,
-        nd: &NdRange,
-        dop: DopConfig,
-        schedule: Schedule,
-        malleable: bool,
-        plan: &FaultPlan,
-    ) -> SimReport {
-        self.simulate_supervised(profile, nd, dop, schedule, malleable, plan, None)
-    }
-
-    /// [`Engine::simulate_with_faults`] with an optional per-dispatch
-    /// launch deadline (seconds): dispatches still pending past the
-    /// deadline are reclaimed and re-dispatched onto the surviving device
-    /// (see [`des::run_des_supervised`]). `None` is bit-identical to
-    /// `simulate_with_faults`.
+    /// [`Engine::simulate`] under a [`FaultPlan`] and an optional
+    /// per-dispatch launch deadline (seconds): injected hangs, stalls and
+    /// slowdowns play out with watchdog-driven recovery, and dispatches
+    /// still pending past the deadline are reclaimed and re-dispatched onto
+    /// the surviving device. See [`des::run_des`].
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_supervised(
         &self,
@@ -186,6 +128,25 @@ impl Engine {
         plan: &FaultPlan,
         deadline_s: Option<f64>,
     ) -> SimReport {
+        des::run_des(&self.des_input(profile, nd, dop, schedule, malleable), plan, deadline_s)
+    }
+
+    /// The DES input the cost model derives for a launch: per-group CPU and
+    /// GPU costs (net of LLC absorption), device counts and the shared
+    /// bandwidth. [`Engine::simulate`] feeds it to [`des::run_des`]; the
+    /// same input through [`des::run_des_exact`] gives the reference
+    /// result.
+    ///
+    /// # Panics
+    /// Panics when both devices are disabled.
+    pub fn des_input(
+        &self,
+        profile: &KernelProfile,
+        nd: &NdRange,
+        dop: DopConfig,
+        schedule: Schedule,
+        malleable: bool,
+    ) -> DesInput {
         assert!(
             dop.cpu_cores > 0 || dop.gpu_frac > 0.0,
             "configuration CPU 0 / GPU 0 is excluded"
@@ -218,48 +179,14 @@ impl Engine {
             None
         };
 
-        let input = DesInput {
+        DesInput {
             num_groups: nd.num_groups(),
             cpu_cores: dop.cpu_cores.min(self.platform.cpu.cores),
             cpu_cost,
             gpu,
             schedule,
             dram_bw_gbs: self.platform.mem.dram_bw_gbs,
-        };
-        let r = if self.exact_des_only {
-            des::run_des_exact_supervised(&input, plan, deadline_s)
-        } else {
-            des::run_des_supervised(&input, plan, deadline_s)
-        };
-        SimReport {
-            time_s: r.time_s,
-            dram_bytes: r.dram_bytes,
-            mem_requests: r.dram_bytes / 64.0,
-            cpu_groups: r.cpu_groups,
-            gpu_groups: r.gpu_groups,
-            cpu_busy_s: r.cpu_busy_s,
-            gpu_busy_s: r.gpu_busy_s,
-            recovered_groups: r.recovered_groups,
-            redispatched_groups: r.redispatched_groups,
-            lost_groups: r.lost_groups,
-            watchdog_fires: r.watchdog_fires,
-            degraded: r.degraded,
-            cpu_faulted: r.cpu_faulted,
-            gpu_faulted: r.gpu_faulted,
         }
-    }
-
-    /// Convenience: profile then simulate in one call.
-    pub fn profile_and_simulate(
-        &self,
-        spec: LaunchSpec<'_>,
-        mem: &mut Memory,
-        dop: DopConfig,
-        schedule: Schedule,
-        malleable: bool,
-    ) -> Result<SimReport, ExecError> {
-        let p = self.profile(spec, mem)?;
-        Ok(self.simulate(&p, &spec.nd, dop, schedule, malleable))
     }
 }
 

@@ -6,7 +6,7 @@
 //! program-prepare time: variables become dense register slots,
 //! access sites become dense `u32` ids (see [`SiteTable`]), affine `for`
 //! loops get their profile-mode extrapolation plan pre-analyzed, and the
-//! whole body becomes a flat [`Insn`] array that [`super::vm`] executes with
+//! whole body becomes a flat `Insn` array that [`super::vm`] executes with
 //! a `Vec<Value>` register file.
 //!
 //! The lowering is trace-exact: for every kernel the VM must emit the same

@@ -50,7 +50,7 @@ fn main() {
         run.kernel_time_s * 1e3,
         run.report.cpu_groups,
         run.report.gpu_groups,
-        run.report.mem_requests / 1e6
+        run.report.mem_requests() / 1e6
     );
 
     // 5. Compare against the paper's baselines and the exhaustive oracle.

@@ -72,7 +72,7 @@ fn fig3_memory_requests_grow_with_gpu_utilization() {
                     sched,
                     true,
                 )
-                .mem_requests
+                .mem_requests()
         })
         .collect();
     for w in reqs.windows(2) {

@@ -24,8 +24,9 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 fn assert_equivalent(input: &DesInput) {
-    let exact = run_des_exact(input);
-    let fast = run_des(input);
+    let none = FaultPlan::none();
+    let exact = run_des_exact(input, &none, None);
+    let fast = run_des(input, &none, None);
     assert_eq!(fast.cpu_groups, exact.cpu_groups, "cpu_groups {:?}", input.schedule);
     assert_eq!(fast.gpu_groups, exact.gpu_groups, "gpu_groups {:?}", input.schedule);
     assert!(
@@ -159,8 +160,8 @@ fn non_fast_inputs_fall_back_to_the_exact_loop() {
     };
     let none = FaultPlan::none();
     assert!(!fast_path_applies(&input, &none));
-    let exact = run_des_exact(&input);
-    let dispatched = run_des(&input);
+    let exact = run_des_exact(&input, &none, None);
+    let dispatched = run_des(&input, &none, None);
     assert_eq!(dispatched, exact, "DynamicPull must be bit-identical");
 
     input.schedule = Schedule::Dynamic { chunk_divisor: 10 };
@@ -208,26 +209,24 @@ fn profiled_gesummv(engine: &Engine, n: usize) -> (sim::KernelProfile, NdRange) 
     (profile, nd)
 }
 
-/// The full 44-point configuration space of a real profiled kernel, through
-/// the public `Engine` API: `exact_des_only` vs the default dispatcher.
+/// The full 44-point configuration space of a real profiled kernel:
+/// `Engine::simulate` against the exact event loop on the same
+/// `Engine::des_input`.
 #[test]
 fn all_44_configs_agree_between_fast_and_exact() {
-    let mut fast_engine = Engine::kaveri();
-    fast_engine.exact_des_only = false;
-    let mut exact_engine = fast_engine.clone();
-    exact_engine.exact_des_only = true;
-
-    let space = config_space(&fast_engine.platform);
+    let engine = Engine::kaveri();
+    let space = config_space(&engine.platform);
     assert_eq!(space.len(), 44);
-    let (profile, nd) = profiled_gesummv(&fast_engine, 16384);
+    let (profile, nd) = profiled_gesummv(&engine, 16384);
 
     for sched in [
         Schedule::Dynamic { chunk_divisor: 10 },
         Schedule::Static { cpu_fraction: 0.35 },
     ] {
         for point in &space {
-            let fast = fast_engine.simulate(&profile, &nd, point.dop(), sched, true);
-            let exact = exact_engine.simulate(&profile, &nd, point.dop(), sched, true);
+            let fast = engine.simulate(&profile, &nd, point.dop(), sched, true);
+            let input = engine.des_input(&profile, &nd, point.dop(), sched, true);
+            let exact = run_des_exact(&input, &FaultPlan::none(), None);
             assert_eq!(fast.cpu_groups, exact.cpu_groups, "{:?} {:?}", point, sched);
             assert_eq!(fast.gpu_groups, exact.gpu_groups, "{:?} {:?}", point, sched);
             assert!(
